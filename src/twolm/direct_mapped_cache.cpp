@@ -1,5 +1,7 @@
 #include "twolm/direct_mapped_cache.hpp"
 
+#include <algorithm>
+
 #include "util/align.hpp"
 #include "util/error.hpp"
 
@@ -22,7 +24,8 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
   const std::size_t blocks = config_.capacity / config_.block_size;
   CA_CHECK(blocks % config_.ways == 0,
            "capacity/block_size must be a multiple of the associativity");
-  lines_.resize(blocks);
+  tags_.assign(blocks, 0);
+  if (config_.ways > 1) lru_.assign(blocks, 0);
 
   const std::size_t t = config_.kernel_threads;
   const auto& dram = platform_.spec(fast_);
@@ -38,62 +41,45 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
       nvram.write_bw_nt.at(t) * config_.nvram_write_efficiency;
 }
 
-void DirectMappedCache::access_block(std::size_t block, bool write,
-                                     std::uint64_t& hits,
-                                     std::uint64_t& clean,
-                                     std::uint64_t& dirty) {
-  const std::size_t nsets = num_sets();
-  const std::size_t set = block % nsets;
-  const std::uint64_t tag = block / nsets;
-  Line* base = lines_.data() + set * config_.ways;
-
-  Line* hit = nullptr;
-  Line* victim = base;
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      hit = &line;
-      break;
-    }
-    if (!line.valid) {
-      victim = &line;  // prefer an invalid way
-    } else if (victim->valid && line.lru < victim->lru) {
-      victim = &line;
-    }
-  }
-  Line* line = hit;
-  if (line == nullptr) {
-    if (victim->valid && victim->dirty) {
-      ++dirty;
-    } else {
-      ++clean;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = false;
-    line = victim;
-  } else {
-    ++hits;
-  }
-  if (write) line->dirty = true;
-  line->lru = ++tick_;
-}
-
 double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
                                  bool write) {
   if (bytes == 0) return 0.0;
   const std::size_t bs = config_.block_size;
   const std::size_t first = addr / bs;
   const std::size_t last = (addr + bytes - 1) / bs;
+  const std::uint64_t blocks = last - first + 1;
+
+  // Consecutive blocks map to consecutive sets, so the run is walked in
+  // segments that end where the set index wraps to 0.  Within a segment
+  // the tag is constant; the next segment's tag is one higher.
+  const std::size_t ways = config_.ways;
+  const std::size_t nsets = num_sets();
+  std::size_t set = first % nsets;
+  std::uint64_t want = ((first / nsets) << kTagShift) | kValid;
+  const std::uint64_t touch = write ? kDirty : 0;
 
   std::uint64_t hits = 0;
-  std::uint64_t clean = 0;
   std::uint64_t dirty = 0;
-  for (std::size_t block = first; block <= last; ++block) {
-    access_block(block, write, hits, clean, dirty);
+  for (std::uint64_t left = blocks; left > 0;) {
+    const std::size_t len = std::min<std::uint64_t>(left, nsets - set);
+    for (const std::size_t end = set + len; set < end; ++set) {
+      std::uint64_t& line =
+          tags_[set * ways + (ways == 1 ? 0 : touch_way(set, want))];
+      // Branch-free: a hit keeps the line's dirty bit; a miss refills it
+      // clean and is a dirty miss if the victim was dirty.
+      const std::uint64_t old = line;
+      const std::uint64_t miss = (old & ~kDirty) != want;
+      const std::uint64_t was_dirty = (old & kDirty) >> 1;
+      hits += miss ^ 1;
+      dirty += miss & was_dirty;
+      line = want | touch | (((miss ^ 1) & was_dirty) << 1);
+    }
+    left -= len;
+    set = 0;
+    want += std::uint64_t{1} << kTagShift;
   }
 
-  const std::uint64_t blocks = last - first + 1;
+  const std::uint64_t clean = blocks - hits - dirty;
   const std::uint64_t misses = clean + dirty;
   stats_.accesses += blocks;
   stats_.hits += hits;
@@ -128,8 +114,24 @@ double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
              (1.0 / nvram_writeback_bw_ + 1.0 / dram_bw_);
 }
 
+std::size_t DirectMappedCache::touch_way(std::size_t set,
+                                         std::uint64_t want) {
+  const std::size_t base = set * config_.ways;
+  std::size_t way = 0;
+  for (std::size_t w = 0; w < config_.ways; ++w) {
+    if ((tags_[base + w] & ~kDirty) == want) {
+      way = w;
+      break;
+    }
+    if (lru_[base + w] < lru_[base + way]) way = w;
+  }
+  lru_[base + way] = ++tick_;
+  return way;
+}
+
 void DirectMappedCache::flush() {
-  for (auto& line : lines_) line = Line{};
+  std::fill(tags_.begin(), tags_.end(), 0);
+  std::fill(lru_.begin(), lru_.end(), 0);
 }
 
 }  // namespace ca::twolm

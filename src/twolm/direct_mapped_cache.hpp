@@ -83,7 +83,9 @@ class DirectMappedCache {
 
   /// Model a CPU access to the physical range [addr, addr+bytes) of the
   /// NVRAM-backed address space.  Records traffic and returns the modeled
-  /// stall seconds (the caller charges them to its clock).
+  /// stall seconds (the caller charges them to its clock).  The range's
+  /// blocks are walked as one run: set and tag are divided out once, then
+  /// stepped block by block.
   double access(std::size_t addr, std::size_t bytes, bool write);
 
   /// Invalidate all blocks (machine reboot between experiments).
@@ -94,27 +96,30 @@ class DirectMappedCache {
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t num_sets() const noexcept {
-    return lines_.size() / config_.ways;
+    return tags_.size() / config_.ways;
   }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< last-touch stamp for within-set LRU
-    bool valid = false;
-    bool dirty = false;
-  };
+  // Tag store word: `tag << kTagShift | dirty << 1 | valid`.  An invalid
+  // line is 0, and only a valid line is ever dirty.
+  static constexpr std::uint64_t kValid = 1;
+  static constexpr std::uint64_t kDirty = 2;
+  static constexpr unsigned kTagShift = 2;
 
-  /// Touch one block; updates stats fields passed by reference.
-  void access_block(std::size_t block, bool write, std::uint64_t& hits,
-                    std::uint64_t& clean, std::uint64_t& dirty);
+  /// For ways > 1: the way of `set` holding tag word `want`, else the
+  /// set's least recently used way; stamps it most recently used.
+  std::size_t touch_way(std::size_t set, std::uint64_t want);
 
   CacheConfig config_;
   const sim::Platform& platform_;
   telemetry::TrafficCounters& counters_;
   sim::DeviceId fast_;
   sim::DeviceId slow_;
-  std::vector<Line> lines_;  ///< num_sets x ways, set-major
+  std::vector<std::uint64_t> tags_;  ///< num_sets x ways, set-major
+  /// Last-touch stamp per line for within-set LRU; empty when ways == 1.
+  /// Touched lines get stamps from 1 up, so an invalid line (stamp 0) is
+  /// always the least recently used way of its set.
+  std::vector<std::uint64_t> lru_;
   std::uint64_t tick_ = 0;
 
   // Cached per-access bandwidth figures (constant per configuration).

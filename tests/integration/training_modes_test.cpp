@@ -171,6 +171,64 @@ TEST(Integrity, TrainingConvergesUnderEvictionChurn) {
   EXPECT_LT(last, first * 0.8f);
 }
 
+/// A small ResNet under a 2LM cache of 3 x 64 KiB = 3072 sets of 64 B (a
+/// set count that is not a power of two), smaller than its working set.
+IterationMetrics run_two_lm_resnet(Mode mode) {
+  ModelSpec spec = ModelSpec::resnet_tiny();
+  spec.stages = {2, 2};
+  spec.batch = 4;
+  spec.image = 16;
+  spec.base_channels = 8;
+  HarnessConfig c;
+  c.mode = mode;
+  c.dram_bytes = 192 * util::KiB;
+  c.nvram_bytes = 64 * util::MiB;
+  c.backend = Backend::kSim;
+  Harness h(c);
+  auto model = build_model(h.engine(), spec);
+  model->init(h.engine(), 3);
+  Trainer trainer(h, *model);
+  return trainer.run_iteration();
+}
+
+/// Exact 2LM outcomes of one iteration of run_two_lm_resnet().  A change to
+/// how the tag model walks or stores lines must not move any of them.
+struct TwoLmPins {
+  Mode mode;
+  std::uint64_t hits, clean_misses, dirty_misses;
+  std::uint64_t dram_read, dram_written, nvram_read, nvram_written;
+  double seconds;
+};
+
+class TwoLmExactCounts : public ::testing::TestWithParam<TwoLmPins> {};
+
+TEST_P(TwoLmExactCounts, OneIterationMatchesPinnedValues) {
+  const TwoLmPins& want = GetParam();
+  const auto m = run_two_lm_resnet(want.mode);
+  EXPECT_EQ(m.cache.hits, want.hits);
+  EXPECT_EQ(m.cache.clean_misses, want.clean_misses);
+  EXPECT_EQ(m.cache.dirty_misses, want.dirty_misses);
+  EXPECT_EQ(m.cache.accesses,
+            want.hits + want.clean_misses + want.dirty_misses);
+  EXPECT_EQ(m.dram.bytes_read, want.dram_read);
+  EXPECT_EQ(m.dram.bytes_written, want.dram_written);
+  EXPECT_EQ(m.nvram.bytes_read, want.nvram_read);
+  EXPECT_EQ(m.nvram.bytes_written, want.nvram_written);
+  EXPECT_EQ(m.seconds, want.seconds);  // simulated time is deterministic
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, TwoLmExactCounts,
+    ::testing::Values(TwoLmPins{Mode::kTwoLmNone, 53336, 16076, 25775,
+                                5998720, 4421312, 2678464, 1649600,
+                                0.63654824677833133},
+                      TwoLmPins{Mode::kTwoLmM, 66665, 6705, 21817, 5745408,
+                                3568256, 1825408, 1396288,
+                                0.52276050124185269}),
+    [](const ::testing::TestParamInfo<TwoLmPins>& info) {
+      return info.param.mode == Mode::kTwoLmNone ? "TwoLmNone" : "TwoLmM";
+    });
+
 TEST(Integrity, ResultsAreDeterministic) {
   const auto a = run_mode(Mode::kCaLM);
   const auto b = run_mode(Mode::kCaLM);

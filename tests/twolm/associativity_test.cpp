@@ -3,7 +3,10 @@
 // implementation on random access streams.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <array>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "twolm/direct_mapped_cache.hpp"
@@ -130,32 +133,84 @@ class ReferenceCache {
   std::vector<std::vector<std::pair<std::uint64_t, bool>>> lines_;
 };
 
-class CacheProperty
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::uint64_t>> {
+/// One random-stream case: a cache of `sets` sets (0: the 4 KiB cache, 64
+/// blocks) and accesses of 1..max_blocks blocks from unaligned addresses.
+struct StreamCase {
+  std::size_t ways;
+  std::uint64_t seed;
+  std::size_t sets = 0;
+  std::size_t max_blocks = 1;
 };
 
+void PrintTo(const StreamCase& c, std::ostream* os) {
+  *os << '(' << c.ways << ", " << c.seed;
+  if (c.sets != 0) *os << ", " << c.sets << ", " << c.max_blocks;
+  *os << ')';
+}
+
+class CacheProperty : public ::testing::TestWithParam<StreamCase> {};
+
 TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
-  const auto [ways, seed] = GetParam();
+  const StreamCase& param = GetParam();
+  const std::size_t ways = param.ways;
+  const std::size_t bs = 64;
   sim::Platform platform =
       sim::Platform::cascade_lake_scaled(4 * util::KiB, 64 * util::KiB);
   telemetry::TrafficCounters counters;
   CacheConfig cfg;
-  cfg.capacity = 4 * util::KiB;
-  cfg.block_size = 64;
+  cfg.capacity = param.sets == 0 ? 4 * util::KiB : param.sets * ways * bs;
+  cfg.block_size = bs;
   cfg.ways = ways;
   DirectMappedCache cache(cfg, platform, counters);
   ReferenceCache ref(cache.num_sets(), ways);
 
-  util::Xoshiro256 rng(seed);
+  // The documented cost model, restated: every block touches DRAM, misses
+  // fill from NVRAM into DRAM, dirty victims go from DRAM back to NVRAM.
+  const std::size_t t = cfg.kernel_threads;
+  const auto& dram = platform.spec(sim::kFast);
+  const auto& nvram = platform.spec(sim::kSlow);
+  const double dram_bw = std::min(dram.read_bw.at(t), dram.write_bw.at(t));
+  const double fill_bw = nvram.read_bw.at(t) * cfg.nvram_read_efficiency;
+  const double wb_bw = nvram.write_bw_nt.at(t) * cfg.nvram_write_efficiency;
+
+  util::Xoshiro256 rng(param.seed);
+  const std::size_t span = 8 * cache.num_sets() * ways;  // blocks addressed
   std::uint64_t hits = 0, clean = 0, dirty = 0;
+  telemetry::DeviceTraffic fast, slow;
+  double seconds = 0.0, want_seconds = 0.0;
   for (int i = 0; i < 5000; ++i) {
-    const std::size_t block = rng.bounded(512);
+    const std::size_t first = rng.bounded(span);
+    const std::size_t n = 1 + rng.bounded(param.max_blocks);
+    std::size_t lo = rng.bounded(bs);
+    std::size_t hi = rng.bounded(bs);
+    if (n == 1 && hi < lo) std::swap(lo, hi);
+    const std::size_t addr = first * bs + lo;
+    const std::size_t bytes = (first + n - 1) * bs + hi + 1 - addr;
     const bool write = rng.uniform() < 0.4;
-    cache.access(block * 64, 64, write);
-    const auto [h, c, d] = ref.access(block, write);
+    seconds += cache.access(addr, bytes, write);
+
+    std::uint64_t h = 0, c = 0, d = 0;
+    for (std::size_t b = first; b < first + n; ++b) {
+      const auto [bh, bc, bd] = ref.access(b, write);
+      h += bh;
+      c += bc;
+      d += bd;
+    }
     hits += h;
     clean += c;
     dirty += d;
+    const std::uint64_t touched = n * bs;
+    const std::uint64_t filled = (c + d) * bs;
+    const std::uint64_t written_back = d * bs;
+    (write ? fast.bytes_written : fast.bytes_read) += touched;
+    fast.bytes_written += filled;
+    fast.bytes_read += written_back;
+    slow.bytes_read += filled;
+    slow.bytes_written += written_back;
+    want_seconds += static_cast<double>(touched) / dram_bw +
+                    static_cast<double>(filled) * (1.0 / fill_bw + 1.0 / dram_bw) +
+                    static_cast<double>(written_back) *
+                        (1.0 / wb_bw + 1.0 / dram_bw);
     if (i % 500 == 0) {
       ASSERT_EQ(cache.stats().hits, hits) << "step " << i;
       ASSERT_EQ(cache.stats().clean_misses, clean) << "step " << i;
@@ -165,19 +220,29 @@ TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   EXPECT_EQ(cache.stats().hits, hits);
   EXPECT_EQ(cache.stats().clean_misses, clean);
   EXPECT_EQ(cache.stats().dirty_misses, dirty);
+  EXPECT_EQ(cache.stats().accesses, hits + clean + dirty);
+  EXPECT_EQ(counters.device(sim::kFast).bytes_read, fast.bytes_read);
+  EXPECT_EQ(counters.device(sim::kFast).bytes_written, fast.bytes_written);
+  EXPECT_EQ(counters.device(sim::kSlow).bytes_read, slow.bytes_read);
+  EXPECT_EQ(counters.device(sim::kSlow).bytes_written, slow.bytes_written);
+  EXPECT_DOUBLE_EQ(seconds, want_seconds);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, CacheProperty,
-    ::testing::Values(std::pair<std::size_t, std::uint64_t>{1, 1},
-                      std::pair<std::size_t, std::uint64_t>{1, 2},
-                      std::pair<std::size_t, std::uint64_t>{2, 3},
-                      std::pair<std::size_t, std::uint64_t>{2, 4},
-                      std::pair<std::size_t, std::uint64_t>{4, 5},
-                      std::pair<std::size_t, std::uint64_t>{8, 6}),
+    ::testing::Values(StreamCase{1, 1}, StreamCase{1, 2}, StreamCase{2, 3},
+                      StreamCase{2, 4}, StreamCase{4, 5}, StreamCase{8, 6},
+                      // Runs of 1-300 blocks over set counts that are not
+                      // powers of two: every run wraps the set index.
+                      StreamCase{1, 7, 67, 300}, StreamCase{1, 8, 3072, 300},
+                      StreamCase{2, 9, 36, 300}, StreamCase{4, 10, 24, 300},
+                      StreamCase{8, 11, 5, 300}),
     [](const auto& info) {
-      return "ways" + std::to_string(info.param.first) + "_seed" +
-             std::to_string(info.param.second);
+      const StreamCase& c = info.param;
+      const std::string geometry =
+          c.sets == 0 ? "" : "sets" + std::to_string(c.sets) + "_";
+      return geometry + "ways" + std::to_string(c.ways) + "_seed" +
+             std::to_string(c.seed);
     });
 
 }  // namespace

@@ -55,7 +55,10 @@
 #            plus the simd suite under the CA_RACE shims.  Skip-aware: on
 #            a host without AVX2 only the scalar half runs.
 #   bench    bench-smoke: every bench entry point runs end to end on tiny
-#            shapes (ctest -L bench-smoke on the ASan build).
+#            shapes (ctest -L bench-smoke on the ASan build), then the
+#            repository benchmark's self-tests (perfbench/test_perfbench.py:
+#            the twolm access identity, traced-vs-untraced reproduction and
+#            same-seed determinism on the smoke shapes).
 #   tidy     clang-tidy over src/ with the repo's .clang-tidy profile.
 #   ca_lint  tools/ca_lint.py repository rules (byte-copy routing,
 #            wall-clock ban, DataManager audit boundaries, kernel scratch
@@ -344,6 +347,8 @@ if [[ "$RUN_BENCH" -eq 1 ]]; then
     --target ablation_async micro_kernels micro_async_mover micro_allocator \
              micro_copy_engine micro_multitenant micro_allreduce micro_ptrprov
   ( cd build-asan && ctest -L bench-smoke --output-on-failure )
+  note "bench: perfbench self-tests (builds into .bench_build/)"
+  python3 perfbench/test_perfbench.py
 else
   skip bench "--skip-bench"
 fi
