@@ -50,12 +50,17 @@ Runtime& Runtime::instance() {
   return runtime;
 }
 
+Tid Runtime::new_tid_locked() {
+  const auto tid = static_cast<Tid>(vc_.size());
+  vc_.emplace_back();
+  vc_.back().tick(tid);  // every task starts with a live epoch
+  return tid;
+}
+
 Tid Runtime::current_tid_locked() {
   if (t_slot.generation != generation_) {
     t_slot.generation = generation_;
-    t_slot.tid = static_cast<Tid>(vc_.size());
-    vc_.emplace_back();
-    vc_.back().tick(t_slot.tid);  // every task starts with a live epoch
+    t_slot.tid = new_tid_locked();
   }
   return t_slot.tid;
 }
@@ -63,6 +68,17 @@ Tid Runtime::current_tid_locked() {
 Tid Runtime::current_tid() {
   std::lock_guard lock(mu_);
   return current_tid_locked();
+}
+
+Tid Runtime::reserve_tid() {
+  std::lock_guard lock(mu_);
+  return new_tid_locked();
+}
+
+void Runtime::bind_tid(Tid tid) {
+  std::lock_guard lock(mu_);
+  t_slot.generation = generation_;
+  t_slot.tid = tid;
 }
 
 VectorClock& Runtime::vc_of_locked(Tid tid) { return vc_.at(tid); }

@@ -36,6 +36,12 @@ class Runtime {
   /// assigned in registration order and restart from 0 after reset().
   Tid current_tid();
 
+  /// Register an id for a thread that does not exist yet: a spawner
+  /// reserves its child's id so ids follow spawn order.  The new thread
+  /// claims it with bind_tid() before any other runtime call.
+  Tid reserve_tid();
+  void bind_tid(Tid tid);
+
   /// Drop every task registration, happens-before edge, shadow cell and
   /// pending report.  Called by the explorer between schedules.
   void reset();
@@ -97,6 +103,7 @@ class Runtime {
   };
 
   Tid current_tid_locked();
+  Tid new_tid_locked();
   VectorClock& vc_of_locked(Tid tid);
   void report_locked(const Shadow& s, AccessKind prior, Tid prior_tid,
                      const char* prior_label, AccessKind current, Tid tid,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "race/runtime.hpp"
 
@@ -33,7 +34,6 @@ thread_local Tls t_tls;
 
 struct Scheduler::Task {
   Tid tid = 0;
-  std::thread::id os_id;
   enum class St { kRunnable, kRunning, kBlocked, kFinished } st = St::kRunnable;
   enum class Wait { kNone, kMutex, kCv, kJoin } wait = Wait::kNone;
   const void* wait_obj = nullptr;
@@ -65,6 +65,13 @@ Scheduler* Scheduler::current() noexcept {
 
 Scheduler::Task* Scheduler::self() const noexcept {
   return static_cast<Task*>(t_tls.task);
+}
+
+Scheduler::Task* Scheduler::find_locked(Tid tid) const noexcept {
+  for (const auto& t : tasks_) {
+    if (t->tid == tid) return t.get();
+  }
+  return nullptr;
 }
 
 void Scheduler::park(Task* t) {
@@ -306,19 +313,24 @@ void Scheduler::cv_notify(const void* cv, bool all) {
   if (must_park) park(me);
 }
 
-void Scheduler::adopt_current_thread() {
+Tid Scheduler::prepare_task() {
   auto task = std::make_unique<Task>();
-  Task* t = task.get();
-  t->os_id = std::this_thread::get_id();
+  std::lock_guard lk(smu_);
+  // Drawn by the spawner, which holds the token: id and priority follow
+  // spawn order, never the order in which OS threads start.
+  task->tid = Runtime::instance().reserve_tid();
+  task->priority = 1 + (rng_next() % (1u << 19)) + (1u << 20);
+  const Tid tid = task->tid;
+  tasks_.push_back(std::move(task));
+  return tid;
+}
+
+void Scheduler::adopt_current_thread(Tid tid) {
+  Runtime::instance().bind_tid(tid);
+  Task* t = nullptr;
   {
     std::lock_guard lk(smu_);
-    // Assign the runtime tid under the scheduler lock so tid order always
-    // equals adoption order (symmetric workers may arrive in any OS order;
-    // relabeling them is invisible to the schedule).
-    t->tid = Runtime::instance().current_tid();
-    t->priority = 1 + (rng_next() % (1u << 19)) + (1u << 20);
-    tasks_.push_back(std::move(task));
-    adopt_cv_.notify_all();
+    t = find_locked(tid);
   }
   t_tls.sched = this;
   t_tls.task = t;
@@ -342,28 +354,10 @@ void Scheduler::task_finished() {
   schedule_from_locked(nullptr);  // hands off or declares completion
 }
 
-std::size_t Scheduler::adoption_mark() {
-  std::lock_guard lk(smu_);
-  return tasks_.size();
-}
-
-void Scheduler::await_adoptions(std::size_t count) {
-  // A real (off-model) wait: the spawner keeps the token while the new
-  // threads register, which needs only the scheduler lock, not the token.
-  std::unique_lock lk(smu_);
-  adopt_cv_.wait(lk, [&] { return tasks_.size() >= count; });
-}
-
-void Scheduler::join_os_thread(std::thread::id os) {
+void Scheduler::join_task(Tid tid) {
   Task* me = self();
   std::unique_lock lk(smu_);
-  Task* target = nullptr;
-  for (const auto& t : tasks_) {
-    if (t->os_id == os) {
-      target = t.get();
-      break;
-    }
-  }
+  Task* target = find_locked(tid);
   if (target == nullptr || target->st == Task::St::kFinished) return;
   me->st = Task::St::kBlocked;
   me->wait = Task::Wait::kJoin;
@@ -377,9 +371,10 @@ Scheduler::Result Scheduler::run(const Options& options,
                                  const std::function<void()>& root) {
   Runtime::instance().reset();
   Scheduler sched(options);
+  const Tid root_task = sched.prepare_task();
 
   std::thread root_thread([&] {
-    sched.adopt_current_thread();
+    sched.adopt_current_thread(root_task);
     try {
       root();
     } catch (const std::exception& e) {
@@ -394,7 +389,6 @@ Scheduler::Result Scheduler::run(const Options& options,
 
   {
     std::unique_lock lk(sched.smu_);
-    sched.adopt_cv_.wait(lk, [&] { return !sched.tasks_.empty(); });
     Task* first = sched.choose_locked();
     sched.grant_locked(first);
     sched.done_cv_.wait(lk, [&] { return sched.done_; });

@@ -14,9 +14,12 @@
 // the host OS would essentially never produce.
 //
 // Threads created while a task runs (ThreadPool workers, race::thread) are
-// adopted at their first instrumented operation; spawners use adoption
-// barriers (await_adoptions) so the task set at every decision point is a
-// deterministic function of the program, not of OS startup timing.
+// registered by their spawner (prepare_task), which draws the task id and
+// PCT priority in spawn order; the new thread then adopts that task by id.
+// The task set and every task's identity at each decision point are thus a
+// deterministic function of the program, not of OS startup timing: a task
+// granted the token before its thread reaches the scheduler simply runs on
+// arrival.
 //
 // A genuine deadlock of the model (every task blocked) or a livelock
 // (max_steps exceeded) prints the seed and every task's state, then
@@ -30,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -80,26 +82,26 @@ class Scheduler {
 
   // --- task lifecycle --------------------------------------------------------
 
-  /// Register the calling thread as a task and park until first scheduled.
-  /// The task id (== ca::race::Tid) is assigned under the scheduler lock,
-  /// so id order always matches adoption order.
-  void adopt_current_thread();
+  /// Spawner side: register the task the next spawned thread will run and
+  /// return its id (== ca::race::Tid).  Called by the running task (or by
+  /// run() for the root) before the thread is created, so ids and
+  /// priorities follow spawn order.  The spawner must create the thread
+  /// before its next schedule point: the task is runnable from now on.
+  [[nodiscard]] Tid prepare_task();
+
+  /// Thread side: bind the calling thread to task `tid` (from
+  /// prepare_task) and park until first scheduled.
+  void adopt_current_thread(Tid tid);
 
   /// Mark the calling task finished, wake its joiners, hand off the token.
   /// The thread must not touch instrumented state afterwards.
   void task_finished();
 
-  /// Adoption barrier: spawners snapshot `adoption_mark()`, create their
-  /// threads, then `await_adoptions(mark + n)` so the task set is fixed
-  /// before the next schedule decision.
-  [[nodiscard]] std::size_t adoption_mark();
-  void await_adoptions(std::size_t count);
-
-  /// Model join on the task running on OS thread `os`: parks the caller
-  /// until that task calls task_finished().  No-op for unknown or already
-  /// finished tasks; the caller then performs the real std::thread::join,
-  /// which completes promptly.
-  void join_os_thread(std::thread::id os);
+  /// Model join on task `tid`: parks the caller until that task calls
+  /// task_finished().  No-op for unknown or already finished tasks; the
+  /// caller then performs the real std::thread::join, which completes
+  /// promptly.
+  void join_task(Tid tid);
 
  private:
   struct Task;
@@ -108,6 +110,7 @@ class Scheduler {
   ~Scheduler();
 
   Task* self() const noexcept;
+  Task* find_locked(Tid tid) const noexcept;
   Task* choose_locked();
   void grant_locked(Task* t);
   static void park(Task* t);
@@ -123,7 +126,6 @@ class Scheduler {
 
   Options options_;
   std::mutex smu_;
-  std::condition_variable adopt_cv_;
   std::condition_variable done_cv_;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::unordered_map<const void*, Task*> mutex_owner_;

@@ -18,9 +18,10 @@
 // spawner joins with `sync::join_thread(t, token)`.  Under the explorer
 // this adopts the thread into the controlled schedule and models the join;
 // in plain instrumented builds it still records the fork/join
-// happens-before edges.  Spawners creating several threads fence the batch
-// with `adoption_mark()` / `await_adoptions()` so the explored task set
-// never depends on OS startup timing.
+// happens-before edges.  The spawn token carries the task id the spawner
+// registered, so the explored task set never depends on OS startup timing;
+// create the thread right after `before_spawn()`, with no synchronization
+// operation in between.
 #pragma once
 
 #include <atomic>
@@ -267,10 +268,13 @@ class atomic {
 struct spawn_token {
   Scheduler* sched = nullptr;
   std::uint64_t fork = 0;
+  Tid task = 0;  ///< the scheduler task the new thread adopts
 };
 
 inline spawn_token before_spawn() {
-  return {Scheduler::current(), Runtime::instance().prepare_fork()};
+  Scheduler* sched = Scheduler::current();
+  const std::uint64_t fork = Runtime::instance().prepare_fork();
+  return {sched, fork, sched != nullptr ? sched->prepare_task() : Tid{0}};
 }
 
 /// Opened first thing inside a spawned thread's body: adopts the thread
@@ -279,7 +283,9 @@ inline spawn_token before_spawn() {
 class task_scope {
  public:
   explicit task_scope(const spawn_token& token) : token_(token) {
-    if (token_.sched != nullptr) token_.sched->adopt_current_thread();
+    if (token_.sched != nullptr) {
+      token_.sched->adopt_current_thread(token_.task);
+    }
     Runtime::instance().bind_fork(token_.fork);
   }
   ~task_scope() {
@@ -293,18 +299,9 @@ class task_scope {
   spawn_token token_;
 };
 
-inline std::size_t adoption_mark() {
-  auto* sched = Scheduler::current();
-  return sched != nullptr ? sched->adoption_mark() : 0;
-}
-
-inline void await_adoptions(std::size_t count) {
-  if (auto* sched = Scheduler::current()) sched->await_adoptions(count);
-}
-
 inline void join_thread(std::thread& t, const spawn_token& token) {
   CA_LOCKDEP_ON_BLOCKING("sync::join_thread");
-  if (token.sched != nullptr) token.sched->join_os_thread(t.get_id());
+  if (token.sched != nullptr) token.sched->join_task(token.task);
   t.join();
   Runtime::instance().acquire(detail::fork_key(token.fork));
 }
@@ -319,8 +316,6 @@ using atomic = ::ca::race::atomic<T>;
 using lock = ::ca::race::lock;
 using spawn_token = ::ca::race::spawn_token;
 using task_scope = ::ca::race::task_scope;
-using ::ca::race::adoption_mark;
-using ::ca::race::await_adoptions;
 using ::ca::race::before_spawn;
 using ::ca::race::join_thread;
 }  // namespace ca::sync
@@ -415,8 +410,6 @@ class task_scope {
   task_scope& operator=(const task_scope&) = delete;
 };
 
-inline std::size_t adoption_mark() { return 0; }
-inline void await_adoptions(std::size_t) {}
 inline void join_thread(std::thread& t, const spawn_token&) {
   CA_LOCKDEP_ON_BLOCKING("sync::join_thread");
   t.join();

@@ -13,11 +13,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t n = std::max<std::size_t>(1, threads);
   workers_.reserve(n);
   worker_tokens_.reserve(n);
-  // Fence the whole batch with an adoption barrier: under a schedule
-  // exploration, construction completes only once every worker has
-  // registered, so the explored task set never depends on OS startup
-  // timing.
-  const std::size_t mark = sync::adoption_mark();
   for (std::size_t i = 0; i < n; ++i) {
     const sync::spawn_token token = sync::before_spawn();
     worker_tokens_.push_back(token);
@@ -26,7 +21,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
       worker_loop();
     });
   }
-  sync::await_adoptions(mark + n);
 }
 
 ThreadPool::~ThreadPool() {

@@ -214,7 +214,6 @@ TEST_F(MultitenantFixture, ConcurrentTenantsKeepTheBooksBalanced) {
     dm_.set_tenant_quota(ids.back(), sim::kFast, 512 * util::KiB);
   }
 
-  const std::size_t mark = sync::adoption_mark();
   std::vector<std::thread> threads;
   std::vector<sync::spawn_token> tokens;
   for (std::size_t t = 0; t < kTenants; ++t) {
@@ -254,10 +253,9 @@ TEST_F(MultitenantFixture, ConcurrentTenantsKeepTheBooksBalanced) {
       }
     });
   }
-  // Under a CA_RACE build these helpers hand the threads to the scheduler;
-  // in plain and TSan builds they are no-ops and this is ordinary
-  // std::thread concurrency.
-  sync::await_adoptions(mark + kTenants);
+  // Under a CA_RACE build the spawn/join helpers hand the threads to the
+  // scheduler; in plain and TSan builds this is ordinary std::thread
+  // concurrency.
   for (std::size_t t = 0; t < threads.size(); ++t) {
     sync::join_thread(threads[t], tokens[t]);
   }
@@ -284,7 +282,6 @@ TEST_F(MultitenantFixture, ConcurrentRegistrationStaysWithinTheCap) {
   // Enough attempts per thread to oversubscribe the cap no matter its
   // value (the fixture's own tenant already holds one slot).
   constexpr std::size_t kAttempts = dm::kMaxTenants / kThreads + 2;
-  const std::size_t mark = sync::adoption_mark();
   std::vector<std::thread> threads;
   std::vector<sync::spawn_token> tokens;
   sync::atomic<std::size_t> registered{0};
@@ -304,7 +301,6 @@ TEST_F(MultitenantFixture, ConcurrentRegistrationStaysWithinTheCap) {
       }
     });
   }
-  sync::await_adoptions(mark + kThreads);
   for (std::size_t t = 0; t < threads.size(); ++t) {
     sync::join_thread(threads[t], tokens[t]);
   }

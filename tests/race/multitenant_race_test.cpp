@@ -68,7 +68,6 @@ void concurrent_tenants_scenario() {
   const dm::TenantId t1 = dm.register_tenant("trainer-1");
   const dm::TenantId t2 = dm.register_tenant("trainer-2");
 
-  const std::size_t mark = sync::adoption_mark();
   std::vector<std::thread> threads;
   std::vector<sync::spawn_token> tokens;
   for (const dm::TenantId t : {t1, t2}) {
@@ -86,7 +85,6 @@ void concurrent_tenants_scenario() {
       dm.free(slow);
     });
   }
-  sync::await_adoptions(mark + 2);
 
   // The root tenant contends on the same lock domains: allocations, a
   // self-only eviction pass over the fast tier, accounting reads.
@@ -136,13 +134,11 @@ void cross_tenant_evict(bool buggy) {
   std::byte* data = region->data();
   const std::size_t size = region->size();
 
-  const std::size_t mark = sync::adoption_mark();
   const sync::spawn_token token = sync::before_spawn();
   std::thread owner_thread([data, size, token] {
     sync::task_scope scope(token);
     owner_writes(data, size, "cross_tenant_evict::owner");
   });
-  sync::await_adoptions(mark + 1);
 
   bool freed = false;
   const auto free_victim = [&](dm::Region& r) {
@@ -186,13 +182,11 @@ void cross_tenant_defragment(bool buggy) {
   std::byte* data = region->data();
   const std::size_t size = region->size();
 
-  const std::size_t mark = sync::adoption_mark();
   const sync::spawn_token token = sync::before_spawn();
   std::thread owner_thread([data, size, token] {
     sync::task_scope scope(token);
     owner_writes(data, size, "cross_tenant_defragment::owner");
   });
-  sync::await_adoptions(mark + 1);
 
   if (buggy) {
     dm.defragment(sim::kFast);  // concurrent with B's writes: the bug

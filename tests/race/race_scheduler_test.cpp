@@ -6,6 +6,8 @@
 // live in race_hazard_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <thread>
@@ -18,37 +20,43 @@
 namespace ca::race {
 namespace {
 
+/// A thread running as a controlled task of the active schedule.
+struct ControlledThread {
+  std::thread thread;
+  Tid task = 0;
+};
+
 /// Spawn a thread as a controlled task of the active schedule.  The caller
 /// must join it with `join_controlled` before its own task finishes.
-std::thread spawn_controlled(const std::function<void()>& fn) {
+ControlledThread spawn_controlled(const std::function<void()>& fn) {
   auto* sched = Scheduler::current();
   const std::uint64_t fork = Runtime::instance().prepare_fork();
-  return std::thread([sched, fork, fn] {
-    sched->adopt_current_thread();
-    Runtime::instance().bind_fork(fork);
-    fn();
-    sched->task_finished();
-  });
+  const Tid task = sched->prepare_task();
+  return {std::thread([sched, fork, task, fn] {
+            sched->adopt_current_thread(task);
+            Runtime::instance().bind_fork(fork);
+            fn();
+            sched->task_finished();
+          }),
+          task};
 }
 
-void join_controlled(std::thread& t) {
-  Scheduler::current()->join_os_thread(t.get_id());
-  t.join();
+void join_controlled(ControlledThread& t) {
+  Scheduler::current()->join_task(t.task);
+  t.thread.join();
 }
 
 /// Three tasks, eight schedule points each: ~10^10 possible interleavings,
 /// so distinct-schedule counting has room to breathe.
 void counting_scenario() {
   auto* sched = Scheduler::current();
-  const std::size_t mark = sched->adoption_mark();
-  std::vector<std::thread> threads;
+  std::vector<ControlledThread> threads;
   threads.reserve(3);
   for (int t = 0; t < 3; ++t) {
     threads.push_back(spawn_controlled([sched] {
       for (int i = 0; i < 8; ++i) sched->yield_point();
     }));
   }
-  sched->await_adoptions(mark + 3);
   for (auto& t : threads) join_controlled(t);
 }
 
@@ -66,6 +74,36 @@ TEST(RaceScheduler, SameSeedReplaysSameSchedule) {
     EXPECT_EQ(first.schedule_hash, second.schedule_hash);
     EXPECT_EQ(first.steps, second.steps);
   }
+}
+
+TEST(RaceScheduler, SameSeedReplaysUnderLoad) {
+  // Busy threads outnumbering the cores make the OS start the spawned
+  // tasks in varying order; task identity must not depend on that order.
+  const unsigned spinners = std::max(4u, std::thread::hardware_concurrency());
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> load;
+  load.reserve(spinners);
+  for (unsigned i = 0; i < spinners; ++i) {
+    load.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  for (const auto strategy :
+       {Scheduler::Strategy::kRandomWalk, Scheduler::Strategy::kPct}) {
+    Scheduler::Options opts;
+    opts.seed = 0xDEADBEEF;
+    opts.strategy = strategy;
+    const auto reference = Scheduler::run(opts, counting_scenario);
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      const auto again = Scheduler::run(opts, counting_scenario);
+      EXPECT_EQ(again.schedule_hash, reference.schedule_hash)
+          << "repeat " << repeat;
+      EXPECT_EQ(again.steps, reference.steps) << "repeat " << repeat;
+    }
+  }
+  stop = true;
+  for (auto& t : load) t.join();
 }
 
 TEST(RaceScheduler, DifferentSeedsExploreDifferentSchedules) {
@@ -111,8 +149,7 @@ TEST(RaceScheduler, ModeledMutexGivesExclusionAcrossSchedules) {
     auto* sched = Scheduler::current();
     int counter = 0;
     int lock_tag = 0;  // address used as the modeled mutex key
-    const std::size_t mark = sched->adoption_mark();
-    std::vector<std::thread> threads;
+    std::vector<ControlledThread> threads;
     threads.reserve(2);
     for (int t = 0; t < 2; ++t) {
       threads.push_back(spawn_controlled([sched, &counter, &lock_tag] {
@@ -125,7 +162,6 @@ TEST(RaceScheduler, ModeledMutexGivesExclusionAcrossSchedules) {
         }
       }));
     }
-    sched->await_adoptions(mark + 2);
     for (auto& t : threads) join_controlled(t);
     if (counter != 20) throw std::runtime_error("lost update under mutex");
   };
@@ -141,19 +177,17 @@ TEST(RaceScheduler, ModeledConditionVariableHandshakes) {
     int m_tag = 0;
     int cv_tag = 0;
     bool flag = false;
-    const std::size_t mark = sched->adoption_mark();
-    std::thread waiter = spawn_controlled([&] {
+    ControlledThread waiter = spawn_controlled([&] {
       sched->mutex_lock(&m_tag);
       while (!flag) sched->cv_wait(&cv_tag, &m_tag);
       sched->mutex_unlock(&m_tag);
     });
-    std::thread notifier = spawn_controlled([&] {
+    ControlledThread notifier = spawn_controlled([&] {
       sched->mutex_lock(&m_tag);
       flag = true;
       sched->mutex_unlock(&m_tag);
       sched->cv_notify(&cv_tag, /*all=*/false);
     });
-    sched->await_adoptions(mark + 2);
     join_controlled(waiter);
     join_controlled(notifier);
   };

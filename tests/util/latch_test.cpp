@@ -45,7 +45,6 @@ TEST(Latch, PublishesWorkAcrossThreads) {
 
   std::vector<std::thread> threads;
   std::vector<ca::sync::spawn_token> tokens;
-  const std::size_t mark = ca::sync::adoption_mark();
   for (std::size_t t = 0; t < kThreads; ++t) {
     const ca::sync::spawn_token token = ca::sync::before_spawn();
     tokens.push_back(token);
@@ -55,7 +54,6 @@ TEST(Latch, PublishesWorkAcrossThreads) {
       latch.arrive();
     });
   }
-  ca::sync::await_adoptions(mark + kThreads);
 
   latch.wait();
   for (std::size_t t = 0; t < kThreads; ++t) {
