@@ -23,8 +23,8 @@
 //
 //   * sanctioned raw escapes (Runtime::resolve) call on_escape, so the set
 //     of observed acquire/escape sites accumulates across ca::race explorer
-//     schedules and tools/ptrprov_check.py can diff it against the manifest
-//     in docs/pointer_provenance.json (the static half: the
+//     schedules and tools/manifest_check.py prov can diff it against the
+//     manifest in docs/pointer_provenance.json (the static half: the
 //     region-data-route ca_lint rule confines bare Region::data() calls to
 //     the same manifest).
 //
@@ -159,8 +159,8 @@ std::vector<ProvenanceReport> take_reports();
 /// explorer schedules, like the lockdep graph).
 [[nodiscard]] std::vector<SiteInfo> observed_sites();
 
-/// Serialize the observed sites as JSON, the format tools/ptrprov_check.py
-/// diffs against docs/pointer_provenance.json.
+/// Serialize the observed sites as JSON, the format
+/// tools/manifest_check.py prov diffs against docs/pointer_provenance.json.
 [[nodiscard]] std::string dump_registry_json();
 
 /// Drop every region mirror, span record, observed site and report.  For

@@ -46,10 +46,11 @@
 // exists, so the in-source declarations are compiler-checked; CA_LEAF marks
 // a mutex under which no other lock may be taken (no Clang analogue — it is
 // a documentation token).  Both are parsed, byte-for-byte, by
-// tools/lockdep_check.py and cross-checked against docs/lock_hierarchy.json
-// and against the runtime-observed graph, so an edge declared in only one
-// place fails CI.  Gate per attribute: acquired_before is newer than
-// guarded_by and absent in some Clang releases.
+// tools/manifest_check.py locks and cross-checked against
+// docs/lock_hierarchy.json and against the runtime-observed graph, so an
+// edge declared in only one place fails CI.  Gate per attribute:
+// acquired_before is newer than guarded_by and absent in some Clang
+// releases.
 #if CA_TSA_HAS(acquired_before)
 #define CA_ACQUIRED_BEFORE(...) __attribute__((acquired_before(__VA_ARGS__)))
 #else

@@ -7,6 +7,9 @@
 
 #include <cstring>
 #include <optional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dm/data_manager.hpp"
@@ -172,9 +175,15 @@ TEST_F(TransferEdgeTest, SyncRegionRealPathHoldsNoLockAcrossJoin) {
                   << b.site;
   }
   EXPECT_EQ(lockdep::report_count(), 0u);
-  // And the acquisition-order graph stayed empty of blocking-adjacent
-  // edges: no lock was nested inside the registry lock on either path.
-  EXPECT_TRUE(lockdep::edges().empty());
+  // And the acquisition-order graph holds exactly the one sanctioned edge
+  // of docs/lock_hierarchy.json (allocate and free nest heap_mu_ under
+  // objects_mu_): no lock was nested inside the registry lock on either
+  // path.
+  std::set<std::pair<std::string, std::string>> observed;
+  for (const auto& e : lockdep::edges()) observed.emplace(e.from, e.to);
+  const std::set<std::pair<std::string, std::string>> sanctioned{
+      {"dm::DataManager::objects_mu_", "dm::DataManager::heap_mu_"}};
+  EXPECT_EQ(observed, sanctioned);
 }
 
 #endif  // CA_LOCKDEP_ENABLED

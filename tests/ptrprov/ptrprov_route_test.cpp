@@ -3,8 +3,8 @@
 // with_read/with_write, the DNN engine's argument spans -- runs through the
 // provenance analyzer without a single report, and leaves behind exactly
 // the observed-site ledger docs/pointer_provenance.json declares (the
-// tools/ptrprov_check.py runtime diff consumes the dump this suite writes
-// when CA_PTRPROV_DUMP is set).
+// tools/manifest_check.py prov runtime diff consumes the dump this suite
+// writes when CA_PTRPROV_DUMP is set).
 //
 // Needs any CA_PTRPROV_ENABLED build; self-skips elsewhere.
 #include <gtest/gtest.h>
@@ -143,7 +143,7 @@ TEST(PtrprovRoutes, ObservedSitesCoverTheDeclaredAccessors) {
 
 TEST(PtrprovRoutes, DumpObservedSitesWhenRequested) {
   // tools/check.sh sets CA_PTRPROV_DUMP and feeds the file to
-  // tools/ptrprov_check.py --runtime for the manifest <-> runtime diff.
+  // tools/manifest_check.py prov --dump for the manifest <-> runtime diff.
   const char* path = std::getenv("CA_PTRPROV_DUMP");
   if (path == nullptr || path[0] == '\0') {
     GTEST_SKIP() << "CA_PTRPROV_DUMP not set";

@@ -68,14 +68,14 @@ Eight rules that clang-tidy cannot express, enforced over src/:
       machinery, the PinnedSpan accessor, Runtime::resolve).  Everywhere
       else reaches bytes through ``dm::PinnedSpan`` so the ``ca::ptrprov``
       analyzer can prove the pointer never outlives its pin (paper SIII-C
-      pin discipline).  tools/ptrprov_check.py audits the sanctioned files
-      themselves (per-line counts, runtime diff); this rule guards the
-      perimeter.
+      pin discipline).  ``tools/manifest_check.py prov`` audits the
+      sanctioned files themselves (per-line counts, runtime diff); this
+      rule guards the perimeter.
 
 A finding can be waived on its own line with a trailing
 ``// ca_lint: allow(<rule>)`` comment; use sparingly and say why nearby.
 
-Usage: tools/ca_lint.py [--root DIR] [--self-test]
+Usage: tools/ca_lint.py [--self-test]
 Exit status: 0 clean, 1 findings, 2 usage/setup error.
 """
 
@@ -86,9 +86,12 @@ import re
 import sys
 from pathlib import Path
 
+from manifest_check import (PROV_MANIFEST, ROOT, Finding, region_data_sites,
+                            source_files, strip_comments)
+
 # Directories (relative to the repo root) where rule `byte-copy-route`
 # permits the raw primitives: the sanctioned implementations themselves.
-BYTE_COPY_ALLOWED_DIRS = ("src/mem", "src/util", "src/race", "src/simd")
+BYTE_COPY_ALLOWED_DIRS = ("src/mem/", "src/util/", "src/race/", "src/simd/")
 
 BYTE_COPY_TOKENS = re.compile(r"\b(?:std::)?(memcpy|memmove)\s*\(|\bstd::thread\b")
 
@@ -136,7 +139,7 @@ INTRUSIVE_LINK_TOKENS = re.compile(r"(?:\.|->)bin_(?:next|prev)\s*=(?!=)")
 # Rule `simd-intrinsics-route`: the one directory compiled per-ISA behind
 # runtime dispatch, and the intrinsic spellings confined to it.  The
 # negative lookahead exempts __builtin_ia32_pause (the portable spin hint).
-SIMD_INTRINSICS_ALLOWED_DIRS = ("src/simd",)
+SIMD_INTRINSICS_ALLOWED_DIRS = ("src/simd/",)
 
 SIMD_INTRINSICS_TOKENS = re.compile(
     r"\b_mm\d{0,3}_\w+\s*\(|\b__m(?:64|128|256|512)[di]?\b"
@@ -147,74 +150,11 @@ SIMD_INTRINSICS_TOKENS = re.compile(
 # util::copy_bytes; every raw or alternate copy primitive is forbidden
 # there (memcpy/memmove are also caught by byte-copy-route -- this rule
 # additionally closes the std::copy* and simd::copy_bytes routes).
-COMM_ROUTE_DIRS = ("src/comm",)
+COMM_ROUTE_DIRS = ("src/comm/",)
 
 COMM_ROUTE_TOKENS = re.compile(
     r"\bsimd::copy_bytes\s*\(|\bstd::copy(?:_n|_backward)?\s*\("
     r"|\b(?:std::)?(?:memcpy|memmove)\s*\(")
-
-
-# Rule `region-data-route`: identifiers bound to a Region (declaration or
-# query result) whose .data()/->data() is then taken, plus chained
-# query->data() calls.  Same two-pass heuristic as tools/ptrprov_check.py;
-# the sanctioned-file set comes from docs/pointer_provenance.json.
-REGION_DATA_MANIFEST = "docs/pointer_provenance.json"
-
-REGION_DATA_DECL = re.compile(
-    r"\bRegion\s*[*&]\s*(?:const\s+)?(?P<name>\w+)\b")
-REGION_DATA_QUERY = re.compile(
-    r"\b(?P<name>\w+)\s*=\s*[\w.>-]*"
-    r"(?:allocate|getprimary|getlinked|region_on|primary)\s*\(")
-REGION_DATA_CALL = re.compile(r"\b(?P<recv>\w+)\s*(?:->|\.)\s*data\s*\(\s*\)")
-REGION_DATA_CHAINED = re.compile(
-    r"\b(?:getprimary|getlinked|region_on|primary)\s*\([^()]*\)\s*"
-    r"(?:->|\.)\s*data\s*\(\s*\)")
-
-
-class Finding:
-    def __init__(self, path: Path, line: int, rule: str, message: str):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-    def to_json(self) -> dict:
-        return {"file": self.path.as_posix(), "line": self.line,
-                "rule": self.rule, "message": self.message}
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blank out comments and string/char literals, preserving line count
-    (and line lengths where possible) so finding positions stay accurate."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            out.append(" " * (j - i))
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            j = n if j == -1 else j + 2
-            out.append("".join(ch if ch == "\n" else " " for ch in text[i:j]))
-            i = j
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            out.append(quote + " " * (j - i - 2) + (quote if j - i >= 2 else ""))
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 def waived_lines(text: str, rule: str) -> set[int]:
@@ -226,30 +166,23 @@ def waived_lines(text: str, rule: str) -> set[int]:
     return lines
 
 
-def scan_tokens(path: Path, rel: str, text: str, code: str,
-                rule: str, pattern: re.Pattern, message: str) -> list[Finding]:
+def scan_tokens(rel: str, text: str, rule: str, pattern: re.Pattern,
+                message: str) -> list[Finding]:
     waived = waived_lines(text, rule)
     findings = []
-    for lineno, line in enumerate(code.splitlines(), start=1):
+    for lineno, line in enumerate(strip_comments(text).splitlines(), start=1):
         m = pattern.search(line)
         if m and lineno not in waived:
             token = m.group(0).rstrip("(").strip()
-            findings.append(Finding(Path(rel), lineno, rule, f"{message} (found `{token}`)"))
+            findings.append(Finding(rel, lineno, rule, f"{message} (found `{token}`)"))
     return findings
 
 
 def check_byte_copy_route(root: Path) -> list[Finding]:
     findings = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".cpp", ".hpp"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        if any(rel.startswith(d + "/") for d in BYTE_COPY_ALLOWED_DIRS):
-            continue
-        text = path.read_text()
-        code = strip_comments_and_strings(text)
+    for rel, text in source_files(root, BYTE_COPY_ALLOWED_DIRS):
         findings += scan_tokens(
-            path, rel, text, code, "byte-copy-route", BYTE_COPY_TOKENS,
+            rel, text, "byte-copy-route", BYTE_COPY_TOKENS,
             "raw byte copies / threads live in src/mem, src/util, src/race only; "
             "use util::copy_bytes/move_bytes or the ca::sync lifecycle shims")
     return findings
@@ -257,14 +190,9 @@ def check_byte_copy_route(root: Path) -> list[Finding]:
 
 def check_wall_clock(root: Path) -> list[Finding]:
     findings = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".cpp", ".hpp"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        text = path.read_text()
-        code = strip_comments_and_strings(text)
+    for rel, text in source_files(root, ()):
         findings += scan_tokens(
-            path, rel, text, code, "wall-clock", WALL_CLOCK_TOKENS,
+            rel, text, "wall-clock", WALL_CLOCK_TOKENS,
             "wall-clock reads are forbidden in src/; all time is simulated "
             "seconds from sim::Clock")
     return findings
@@ -292,26 +220,25 @@ def method_body(code: str, name: str) -> tuple[int, str] | None:
 
 
 def check_dm_audit(root: Path) -> list[Finding]:
-    path = root / "src" / "dm" / "data_manager.cpp"
+    rel = "src/dm/data_manager.cpp"
+    path = root / rel
     if not path.exists():
-        return [Finding(Path("src/dm/data_manager.cpp"), 1, "dm-audit",
-                        "file not found")]
-    rel = path.relative_to(root).as_posix()
+        return [Finding(rel, 1, "dm-audit", "file not found")]
     text = path.read_text()
-    code = strip_comments_and_strings(text)
+    code = strip_comments(text)
     waived = waived_lines(text, "dm-audit")
     findings = []
     for name in DM_MUTATORS:
         located = method_body(code, name)
         if located is None:
-            findings.append(Finding(Path(rel), 1, "dm-audit",
+            findings.append(Finding(rel, 1, "dm-audit",
                                     f"mutating method `{name}` not found "
                                     "(update DM_MUTATORS in tools/ca_lint.py)"))
             continue
         line, body = located
         if "CA_AUDIT(" not in body and line not in waived:
             findings.append(Finding(
-                Path(rel), line, "dm-audit",
+                rel, line, "dm-audit",
                 f"public mutating method `{name}` must end with CA_AUDIT(*this)"))
     return findings
 
@@ -322,10 +249,8 @@ def check_kernel_scratch_route(root: Path) -> list[Finding]:
         path = root / rel
         if not path.exists():
             continue  # the kernel tier may not exist yet in partial trees
-        text = path.read_text()
-        code = strip_comments_and_strings(text)
         findings += scan_tokens(
-            path, rel, text, code, "kernel-scratch-route",
+            rel, path.read_text(), "kernel-scratch-route",
             KERNEL_SCRATCH_TOKENS,
             "kernel scratch copies must route through util::copy_bytes so "
             "the race detector sees the per-thread scratch handoff")
@@ -334,16 +259,9 @@ def check_kernel_scratch_route(root: Path) -> list[Finding]:
 
 def check_intrusive_links(root: Path) -> list[Finding]:
     findings = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".cpp", ".hpp"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        if rel in INTRUSIVE_LINK_ALLOWED:
-            continue
-        text = path.read_text()
-        code = strip_comments_and_strings(text)
+    for rel, text in source_files(root, INTRUSIVE_LINK_ALLOWED):
         findings += scan_tokens(
-            path, rel, text, code, "intrusive-links", INTRUSIVE_LINK_TOKENS,
+            rel, text, "intrusive-links", INTRUSIVE_LINK_TOKENS,
             "bin_next/bin_prev writes are confined to "
             "src/mem/freelist_allocator.cpp; use the allocator's public "
             "surface")
@@ -352,17 +270,9 @@ def check_intrusive_links(root: Path) -> list[Finding]:
 
 def check_simd_intrinsics_route(root: Path) -> list[Finding]:
     findings = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".cpp", ".hpp"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        if any(rel.startswith(d + "/") for d in SIMD_INTRINSICS_ALLOWED_DIRS):
-            continue
-        text = path.read_text()
-        code = strip_comments_and_strings(text)
+    for rel, text in source_files(root, SIMD_INTRINSICS_ALLOWED_DIRS):
         findings += scan_tokens(
-            path, rel, text, code, "simd-intrinsics-route",
-            SIMD_INTRINSICS_TOKENS,
+            rel, text, "simd-intrinsics-route", SIMD_INTRINSICS_TOKENS,
             "x86 intrinsics are confined to src/simd (per-ISA TUs behind "
             "runtime dispatch); use simd::gemm_tile / simd::copy_bytes")
     return findings
@@ -370,55 +280,34 @@ def check_simd_intrinsics_route(root: Path) -> list[Finding]:
 
 def check_comm_route(root: Path) -> list[Finding]:
     findings = []
-    for d in COMM_ROUTE_DIRS:
-        base = root / d
-        if not base.is_dir():
-            continue  # the comm layer may not exist yet in partial trees
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in (".cpp", ".hpp"):
-                continue
-            rel = path.relative_to(root).as_posix()
-            text = path.read_text()
-            code = strip_comments_and_strings(text)
-            findings += scan_tokens(
-                path, rel, text, code, "comm-route", COMM_ROUTE_TOKENS,
-                "wire-byte movement in src/comm must route through "
-                "util::copy_bytes (the race-instrumented funnel); raw "
-                "copies and the NT simd path hide the reduction's "
-                "gather/sum/scatter accesses from the detector")
+    for rel, text in source_files(root, ()):
+        if not rel.startswith(COMM_ROUTE_DIRS):
+            continue
+        findings += scan_tokens(
+            rel, text, "comm-route", COMM_ROUTE_TOKENS,
+            "wire-byte movement in src/comm must route through "
+            "util::copy_bytes (the race-instrumented funnel); raw "
+            "copies and the NT simd path hide the reduction's "
+            "gather/sum/scatter accesses from the detector")
     return findings
 
 
 def check_region_data_route(root: Path) -> list[Finding]:
     import json
-    manifest_path = root / REGION_DATA_MANIFEST
+    manifest_path = root / PROV_MANIFEST
     if not manifest_path.exists():
-        return [Finding(Path(REGION_DATA_MANIFEST), 1, "region-data-route",
+        return [Finding(PROV_MANIFEST, 1, "region-data-route",
                         "manifest not found")]
     manifest = json.loads(manifest_path.read_text())
-    sanctioned = {s["file"] for s in manifest.get("raw_data_sites", [])}
+    # The sanctioned files are audited by `manifest_check.py prov`, the
+    # analyzer by its own suite.
+    skip = tuple(s["file"] for s in manifest.get("raw_data_sites", []))
     findings = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".cpp", ".hpp"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        if rel in sanctioned or rel.startswith("src/ptrprov/"):
-            continue  # audited by tools/ptrprov_check.py / the analyzer itself
-        text = path.read_text()
-        code = strip_comments_and_strings(text)
+    for rel, text in source_files(root, skip + ("src/ptrprov/",)):
         waived = waived_lines(text, "region-data-route")
-        tracked = {m.group("name") for m in REGION_DATA_DECL.finditer(code)}
-        tracked |= {m.group("name")
-                    for m in REGION_DATA_QUERY.finditer(code)}
-        lines = set()
-        for m in REGION_DATA_CALL.finditer(code):
-            if m.group("recv") in tracked:
-                lines.add(code.count("\n", 0, m.start()) + 1)
-        for m in REGION_DATA_CHAINED.finditer(code):
-            lines.add(code.count("\n", 0, m.start()) + 1)
-        for lineno in sorted(lines - waived):
+        for lineno in sorted(set(region_data_sites(text)) - waived):
             findings.append(Finding(
-                Path(rel), lineno, "region-data-route",
+                rel, lineno, "region-data-route",
                 "bare Region::data() outside the files sanctioned by "
                 "docs/pointer_provenance.json; access bytes through "
                 "dm::PinnedSpan (DataManager::access) so ca::ptrprov can "
@@ -568,8 +457,8 @@ def self_test() -> int:
         (kernel / "ops_real.cpp").write_text(SELF_TEST_BAD)
         (kernel / "gemm.cpp").write_text(SELF_TEST_GOOD)
         findings = check_kernel_scratch_route(root)
-        bad = [f for f in findings if f.path.as_posix().endswith("ops_real.cpp")]
-        good = [f for f in findings if f.path.as_posix().endswith("gemm.cpp")]
+        bad = [f for f in findings if f.path.endswith("ops_real.cpp")]
+        good = [f for f in findings if f.path.endswith("gemm.cpp")]
         if len(bad) != 3:
             failures.append(
                 f"kernel-scratch-route: expected 3 findings in the bad "
@@ -586,9 +475,9 @@ def self_test() -> int:
         (root / "src" / "dm" / "reader.cpp").write_text(SELF_TEST_LINKS_GOOD)
         link_findings = check_intrusive_links(root)
         link_bad = [f for f in link_findings
-                    if f.path.as_posix().endswith("poker.cpp")]
+                    if f.path.endswith("poker.cpp")]
         link_other = [f for f in link_findings
-                      if not f.path.as_posix().endswith("poker.cpp")]
+                      if not f.path.endswith("poker.cpp")]
         if len(link_bad) != 2:
             failures.append(
                 f"intrusive-links: expected 2 findings in the bad fixture, "
@@ -607,9 +496,9 @@ def self_test() -> int:
         (policy / "ticker.cpp").write_text(SELF_TEST_STRIPPED_BAD)
         stripped = check_byte_copy_route(root) + check_wall_clock(root)
         clean_hits = [f for f in stripped
-                      if f.path.as_posix().endswith("notes.cpp")]
+                      if f.path.endswith("notes.cpp")]
         bad_hits = {(f.rule, f.line) for f in stripped
-                    if f.path.as_posix().endswith("ticker.cpp")}
+                    if f.path.endswith("ticker.cpp")}
         if clean_hits:
             failures.append(
                 "stripping: tokens in comments/strings produced "
@@ -631,9 +520,9 @@ def self_test() -> int:
         (simd_dir / "native.cpp").write_text(SELF_TEST_SIMD_BAD)
         simd_findings = check_simd_intrinsics_route(root)
         simd_bad = [f for f in simd_findings
-                    if f.path.as_posix().endswith("vector_hot.cpp")]
+                    if f.path.endswith("vector_hot.cpp")]
         simd_other = [f for f in simd_findings
-                      if not f.path.as_posix().endswith("vector_hot.cpp")]
+                      if not f.path.endswith("vector_hot.cpp")]
         if len(simd_bad) != 4:
             failures.append(
                 f"simd-intrinsics-route: expected 4 findings in the bad "
@@ -657,9 +546,9 @@ def self_test() -> int:
             SELF_TEST_PROV_BAD)
         prov_findings = check_region_data_route(root)
         prov_bad = [f for f in prov_findings
-                    if f.path.as_posix().endswith("rogue.cpp")]
+                    if f.path.endswith("rogue.cpp")]
         prov_other = [f for f in prov_findings
-                      if not f.path.as_posix().endswith("rogue.cpp")]
+                      if not f.path.endswith("rogue.cpp")]
         if len(prov_bad) != 2:
             failures.append(
                 f"region-data-route: expected 2 findings in the bad "
@@ -679,9 +568,9 @@ def self_test() -> int:
         (comm_dir / "good_engine.cpp").write_text(SELF_TEST_COMM_GOOD)
         comm_findings = check_comm_route(root)
         comm_bad = [f for f in comm_findings
-                    if f.path.as_posix().endswith("bad_engine.cpp")]
+                    if f.path.endswith("bad_engine.cpp")]
         comm_other = [f for f in comm_findings
-                      if not f.path.as_posix().endswith("bad_engine.cpp")]
+                      if not f.path.endswith("bad_engine.cpp")]
         if len(comm_bad) != 3:
             failures.append(
                 f"comm-route: expected 3 findings in the bad fixture, got "
@@ -701,43 +590,25 @@ def self_test() -> int:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path,
-                        default=Path(__file__).resolve().parent.parent,
-                        help="repository root (default: the checkout "
-                             "containing this script)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON object on stdout")
     parser.add_argument("--self-test", action="store_true",
                         help="run the linter's own negative tests and exit")
-    args = parser.parse_args(argv)
-    if args.self_test:
+    if parser.parse_args(argv).self_test:
         return self_test()
-    root = args.root.resolve()
-    if not (root / "src").is_dir():
-        print(f"ca_lint: no src/ under {root}", file=sys.stderr)
-        return 2
 
-    findings = (check_byte_copy_route(root) + check_wall_clock(root) +
-                check_dm_audit(root) + check_kernel_scratch_route(root) +
-                check_intrusive_links(root) +
-                check_simd_intrinsics_route(root) +
-                check_comm_route(root) +
-                check_region_data_route(root))
-    if args.json:
-        import json
-        print(json.dumps({"tool": "ca_lint",
-                          "findings": [f.to_json() for f in findings]},
-                         indent=2))
-    else:
-        for finding in findings:
-            print(finding)
+    findings = (check_byte_copy_route(ROOT) + check_wall_clock(ROOT) +
+                check_dm_audit(ROOT) + check_kernel_scratch_route(ROOT) +
+                check_intrusive_links(ROOT) +
+                check_simd_intrinsics_route(ROOT) +
+                check_comm_route(ROOT) +
+                check_region_data_route(ROOT))
+    for finding in findings:
+        print(finding)
     if findings:
         print(f"ca_lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    if not args.json:
-        print("ca_lint: clean (byte-copy-route, wall-clock, dm-audit, "
-              "kernel-scratch-route, intrusive-links, simd-intrinsics-route, "
-              "comm-route, region-data-route)")
+    print("ca_lint: clean (byte-copy-route, wall-clock, dm-audit, "
+          "kernel-scratch-route, intrusive-links, simd-intrinsics-route, "
+          "comm-route, region-data-route)")
     return 0
 
 

@@ -16,18 +16,16 @@
 #            (ctest -R race, plus the Transfer edge cases under the shims).
 #   lockdep  lock-order analysis gate: the ca::lockdep suite on the CA_RACE
 #            build (ctest -R lockdep — unit, hazard, and graph tests), the
-#            checker self-tests, the manifest-vs-annotations and
-#            manifest-vs-runtime-graph diffs (tools/lockdep_check.py with
-#            the CA_LOCKDEP_DUMP emitted by the graph test), and the
-#            generated lock table in docs/CONCURRENCY.md
-#            (tools/gen_lock_table.py --check).
+#            checker self-tests, then `tools/manifest_check.py locks` with
+#            the CA_LOCKDEP_DUMP emitted by the graph test: the manifest vs
+#            annotations vs runtime-graph diffs and the generated lock
+#            table in docs/CONCURRENCY.md.
 #   ptrprov  pointer-provenance gate: the ca::ptrprov suite on the CA_RACE
 #            build (ctest -R ptrprov — runtime, hazard-explorer, and
-#            sanctioned-route tests), the checker self-tests, the manifest
-#            vs source vs runtime-observed-site diffs
-#            (tools/ptrprov_check.py with the CA_PTRPROV_DUMP emitted by
-#            the route test), and the generated provenance table in
-#            docs/CONCURRENCY.md (tools/gen_prov_table.py --check).
+#            sanctioned-route tests), the checker self-tests, then
+#            `tools/manifest_check.py prov` with the CA_PTRPROV_DUMP emitted
+#            by the route test: the manifest vs source vs runtime-site
+#            diffs and the generated provenance table in docs/CONCURRENCY.md.
 #   multitenant  shared-manager concurrency gate: the multi-tenant suite
 #            (semantics + per-tenant accounting + plain-thread concurrency,
 #            tests/dm/multitenant_test.cpp) under the ASan build and the
@@ -60,60 +58,56 @@
 #            the twolm access identity, traced-vs-untraced reproduction and
 #            same-seed determinism on the smoke shapes).
 #   tidy     clang-tidy over src/ with the repo's .clang-tidy profile.
-#   ca_lint  tools/ca_lint.py repository rules (byte-copy routing,
+#   lint     tools/ca_lint.py repository rules (byte-copy routing,
 #            wall-clock ban, DataManager audit boundaries, kernel scratch
 #            routing, intrusive bin-link confinement), preceded by the
 #            linter's own --self-test.
 #
-# Exits non-zero on the first finding of a stage that ran.  Stages whose
-# toolchain is not installed (e.g. clang-tidy on a gcc-only box) emit a
-# machine-readable "SKIPPED:<stage> <reason>" line rather than silently
-# passing; --require-all turns any skip into a non-zero exit so CI images
-# that are supposed to carry the full toolchain cannot degrade quietly.
+# asan always runs first: it is the shared baseline and builds every
+# target the later stages run.  With no --only every stage runs;
+# --only <stage> runs that one stage after asan, and an unknown stage
+# name exits 2.
+#
+# Exits non-zero on the first finding of a stage that ran.  A selected
+# stage whose toolchain is not installed (e.g. clang-tidy on a gcc-only
+# box) emits a machine-readable "SKIPPED:<stage> <reason>" line rather
+# than silently passing; --require-all turns any such skip into exit 3 so
+# CI images that are supposed to carry the full toolchain cannot degrade
+# quietly.  Stages left out by --only are not skips.
 #
 # Under GitHub Actions (GITHUB_ACTIONS set) the file:line findings of the
 # linter stages are re-emitted as ::error annotations so they surface on
 # the PR diff.
 #
-# Usage: tools/check.sh [--jobs N] [--require-all]
-#                       [--skip-tsan] [--skip-race] [--skip-lockdep]
-#                       [--skip-ptrprov] [--skip-multitenant] [--skip-comm]
-#                       [--skip-kparity] [--skip-simd]
-#                       [--skip-bench] [--skip-tidy] [--skip-lint]
+# Usage: tools/check.sh [--jobs N] [--require-all] [--only STAGE]
+# Stages: asan tsan race lockdep ptrprov multitenant comm kparity simd
+#         bench tidy lint
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
-RUN_TSAN=1
-RUN_RACE=1
-RUN_LOCKDEP=1
-RUN_PTRPROV=1
-RUN_MULTITENANT=1
-RUN_COMM=1
-RUN_KPARITY=1
-RUN_SIMD=1
-RUN_BENCH=1
-RUN_TIDY=1
-RUN_LINT=1
+STAGES=(asan tsan race lockdep ptrprov multitenant comm kparity simd bench
+        tidy lint)
+ONLY=""
 REQUIRE_ALL=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --jobs) JOBS="${2:?--jobs requires a value}"; shift 2 ;;
     --require-all) REQUIRE_ALL=1; shift ;;
-    --skip-tsan) RUN_TSAN=0; shift ;;
-    --skip-race) RUN_RACE=0; shift ;;
-    --skip-lockdep) RUN_LOCKDEP=0; shift ;;
-    --skip-ptrprov) RUN_PTRPROV=0; shift ;;
-    --skip-multitenant) RUN_MULTITENANT=0; shift ;;
-    --skip-comm) RUN_COMM=0; shift ;;
-    --skip-kparity) RUN_KPARITY=0; shift ;;
-    --skip-simd) RUN_SIMD=0; shift ;;
-    --skip-bench) RUN_BENCH=0; shift ;;
-    --skip-tidy) RUN_TIDY=0; shift ;;
-    --skip-lint) RUN_LINT=0; shift ;;
+    --only)
+      ONLY="${2:?--only requires a stage name}"
+      if [[ " ${STAGES[*]} " != *" $ONLY "* ]]; then
+        echo "unknown stage: $ONLY (stages: ${STAGES[*]})" >&2
+        exit 2
+      fi
+      shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
+# selected <stage>: every stage runs unless --only named another one.
+selected() {
+  [[ -z "$ONLY" || "$ONLY" == "$1" ]]
+}
 
 note() { printf '\n==== %s ====\n' "$*"; }
 # Re-emit `path:line: message` findings as GitHub Actions ::error
@@ -139,16 +133,13 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCA_SANITIZE=address,undefined \
   -DCA_WERROR=OFF > /dev/null
-cmake --build build-asan -j "$JOBS" \
-  --target test_util test_sim test_telemetry test_mem test_dm test_policy \
-           test_core test_twolm test_dnn test_integration test_audit \
-           test_race test_simd
+cmake --build build-asan -j "$JOBS"
 ( cd build-asan && ctest -j "$JOBS" --output-on-failure )
 note "asan: audit suite under sanitizers (ctest -R audit)"
 ( cd build-asan && ctest -R audit --output-on-failure )
 
 # --- tsan: the threaded substrate ---------------------------------------------
-if [[ "$RUN_TSAN" -eq 1 ]]; then
+if selected tsan; then
   note "tsan: thread pool + copy engine + async mover tests"
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug \
@@ -157,25 +148,21 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
   cmake --build build-tsan -j "$JOBS" --target test_util test_mem test_dm
   ( cd build-tsan && ctest -R 'ThreadPool|CopyEngine|Async|TransferEdge|Latch' \
       --output-on-failure )
-else
-  skip tsan "--skip-tsan"
 fi
 
 # --- race: deterministic schedule exploration under the instrumented shims ----
-if [[ "$RUN_RACE" -eq 1 ]]; then
+if selected race; then
   note "race: CA_RACE=ON build + schedule-explorer suite (ctest -R race)"
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
   cmake --build build-race -j "$JOBS" --target test_race test_mem test_util
   ( cd build-race && ctest -R 'race\.|TransferEdge|Latch' --output-on-failure )
-else
-  skip race "--skip-race"
 fi
 
 # --- lockdep: lock-order analysis gate ----------------------------------------
-if [[ "$RUN_LOCKDEP" -eq 1 ]]; then
+if selected lockdep; then
   if command -v python3 > /dev/null 2>&1; then
     note "lockdep: ca::lockdep suite on the CA_RACE build (ctest -R lockdep)"
-    # Self-contained under --skip-race (CI runs lockdep as its own job);
+    # Self-contained under --only lockdep (CI runs it as its own job);
     # CA_RACE implies CA_LOCKDEP_ENABLED and arms the schedule explorer
     # the hazard scenarios need.
     cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
@@ -183,33 +170,30 @@ if [[ "$RUN_LOCKDEP" -eq 1 ]]; then
     ( cd build-race && ctest -R 'lockdep\.' --output-on-failure )
 
     note "lockdep: checker self-tests + manifest vs annotations vs runtime graph"
-    if ! python3 tools/lockdep_check.py --self-test; then
+    if ! python3 tools/manifest_check.py --self-test; then
       fail=1
     fi
     # The graph test re-runs the sanctioned workload and dumps the observed
     # acquisition-order graph; the checker then diffs manifest <-> source
-    # annotations and manifest <-> runtime graph, both directions.
+    # annotations and manifest <-> runtime graph, both directions, and
+    # checks the generated lock table.
     LOCKDEP_DUMP="$(pwd)/build-race/lockdep_graph.json"
     ( cd build-race && CA_LOCKDEP_DUMP="$LOCKDEP_DUMP" \
         ctest -R 'lockdep\.LockdepGraph\.' --output-on-failure )
-    if ! python3 tools/lockdep_check.py --graph "$LOCKDEP_DUMP" | annotate; then
-      fail=1
-    fi
-    if ! python3 tools/gen_lock_table.py --check; then
+    if ! python3 tools/manifest_check.py locks --dump "$LOCKDEP_DUMP" \
+        | annotate; then
       fail=1
     fi
   else
     skip lockdep "python3 not installed"
   fi
-else
-  skip lockdep "--skip-lockdep"
 fi
 
 # --- ptrprov: pointer-provenance & pin-discipline gate ------------------------
-if [[ "$RUN_PTRPROV" -eq 1 ]]; then
+if selected ptrprov; then
   if command -v python3 > /dev/null 2>&1; then
     note "ptrprov: ca::ptrprov suite on the CA_RACE build (ctest -R ptrprov)"
-    # Self-contained under --skip-race (CI runs ptrprov as its own job);
+    # Self-contained under --only ptrprov (CI runs it as its own job);
     # CA_RACE implies CA_PTRPROV_ENABLED and arms the schedule explorer
     # the hazard scenarios need.
     cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
@@ -217,37 +201,33 @@ if [[ "$RUN_PTRPROV" -eq 1 ]]; then
     ( cd build-race && ctest -R 'ptrprov\.' --output-on-failure )
 
     note "ptrprov: checker self-tests + manifest vs source vs runtime sites"
-    if ! python3 tools/ptrprov_check.py --self-test; then
+    if ! python3 tools/manifest_check.py --self-test; then
       fail=1
     fi
     # The route test re-runs the sanctioned workloads and dumps the
     # observed accessor/escape sites; the checker then diffs manifest <->
-    # source scan and manifest <-> runtime sites, both directions.
+    # source scan and manifest <-> runtime sites, both directions, and
+    # checks the generated provenance table.
     PTRPROV_DUMP="$(pwd)/build-race/prov_sites.json"
     ( cd build-race && CA_PTRPROV_DUMP="$PTRPROV_DUMP" \
         ctest -R 'ptrprov\.PtrprovRoutes\.DumpObservedSitesWhenRequested' \
         --output-on-failure )
-    if ! python3 tools/ptrprov_check.py --runtime "$PTRPROV_DUMP" | annotate; then
-      fail=1
-    fi
-    if ! python3 tools/gen_prov_table.py --check; then
+    if ! python3 tools/manifest_check.py prov --dump "$PTRPROV_DUMP" \
+        | annotate; then
       fail=1
     fi
   else
     skip ptrprov "python3 not installed"
   fi
-else
-  skip ptrprov "--skip-ptrprov"
 fi
 
 # --- multitenant: shared-manager concurrency gate -----------------------------
-if [[ "$RUN_MULTITENANT" -eq 1 ]]; then
+if selected multitenant; then
   note "multitenant: suite under ASan (semantics + plain-thread concurrency)"
-  cmake --build build-asan -j "$JOBS" --target test_multitenant
   ( cd build-asan && ctest -R 'multitenant\.' --output-on-failure )
 
   note "multitenant: suite under TSan"
-  # Self-contained under --skip-tsan (CI runs multitenant as its own job).
+  # Self-contained under --only multitenant (CI runs it as its own job).
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCA_SANITIZE=thread \
@@ -256,28 +236,24 @@ if [[ "$RUN_MULTITENANT" -eq 1 ]]; then
   ( cd build-tsan && ctest -R 'multitenant\.' --output-on-failure )
 
   note "multitenant: cross-tenant hazards under the CA_RACE schedule explorer"
-  # Self-contained under --skip-race; CA_RACE arms the explorer the
+  # Self-contained without the race stage; CA_RACE arms the explorer the
   # flagged-then-fixed hazard scenarios need (>=1000 distinct schedules).
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
   cmake --build build-race -j "$JOBS" --target test_multitenant
   ( cd build-race && ctest -R 'multitenant\.' --output-on-failure )
 
   note "multitenant: K=4 shared-manager bench on the smoke shape"
-  cmake --build build-asan -j "$JOBS" --target micro_multitenant
   ( cd build-asan && ctest -R 'bench-smoke\.micro_multitenant' \
       --output-on-failure )
-else
-  skip multitenant "--skip-multitenant"
 fi
 
 # --- comm: data-parallel allreduce gate ---------------------------------------
-if [[ "$RUN_COMM" -eq 1 ]]; then
+if selected comm; then
   note "comm: suite under ASan (cost models + CommEngine + dp::Trainer)"
-  cmake --build build-asan -j "$JOBS" --target test_comm
   ( cd build-asan && ctest -R '^comm\.' --output-on-failure )
 
   note "comm: suite under TSan"
-  # Self-contained under --skip-tsan (CI runs comm as its own job).
+  # Self-contained under --only comm (CI runs it as its own job).
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCA_SANITIZE=thread \
@@ -286,40 +262,33 @@ if [[ "$RUN_COMM" -eq 1 ]]; then
   ( cd build-tsan && ctest -R '^comm\.' --output-on-failure )
 
   note "comm: allreduce lifecycle hazards under the CA_RACE schedule explorer"
-  # Self-contained under --skip-race; CA_RACE arms the explorer the
+  # Self-contained without the race stage; CA_RACE arms the explorer the
   # flagged-then-fixed hazard scenarios need (>=1000 distinct schedules).
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
   cmake --build build-race -j "$JOBS" --target test_comm
   ( cd build-race && ctest -R '^comm\.' --output-on-failure )
 
   note "comm: bucketed-allreduce bench on the smoke shape"
-  cmake --build build-asan -j "$JOBS" --target micro_allreduce
   ( cd build-asan && ctest -R 'bench-smoke\.micro_allreduce' \
       --output-on-failure )
-else
-  skip comm "--skip-comm"
 fi
 
 # --- kparity: fast kernel tier vs the scalar reference ------------------------
-if [[ "$RUN_KPARITY" -eq 1 ]]; then
+if selected kparity; then
   note "kparity: kernel parity suite under ASan (ctest -R kparity)"
-  cmake --build build-asan -j "$JOBS" --target test_kernels
   ( cd build-asan && ctest -R 'kparity\.' --output-on-failure )
   # The race half configures build-race itself so this stage is
-  # self-contained under --skip-race (CI runs kparity as its own job).
+  # self-contained under --only kparity (CI runs it as its own job).
   # CA_NATIVE stays OFF: parity must hold for the portable codegen.
   note "kparity: kernel parity suite under CA_RACE shims"
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
   cmake --build build-race -j "$JOBS" --target test_kernels
   ( cd build-race && ctest -R 'kparity\.' --output-on-failure )
-else
-  skip kparity "--skip-kparity"
 fi
 
 # --- simd: dispatch levels, NT copy path, race coverage -----------------------
-if [[ "$RUN_SIMD" -eq 1 ]]; then
+if selected simd; then
   note "simd: kparity + simd suites under ASan at CA_ISA=scalar"
-  cmake --build build-asan -j "$JOBS" --target test_kernels test_simd
   ( cd build-asan && CA_ISA=scalar ctest -R 'kparity\.|simd\.' \
       --output-on-failure )
   # The CA_ISA env pins the entry level; the in-process sweep tests still
@@ -336,25 +305,18 @@ if [[ "$RUN_SIMD" -eq 1 ]]; then
   else
     skip simd-native "host CPU lacks AVX2; scalar half ran"
   fi
-else
-  skip simd "--skip-simd"
 fi
 
 # --- bench smoke ---------------------------------------------------------------
-if [[ "$RUN_BENCH" -eq 1 ]]; then
+if selected bench; then
   note "bench: every bench entry point on tiny shapes"
-  cmake --build build-asan -j "$JOBS" \
-    --target ablation_async micro_kernels micro_async_mover micro_allocator \
-             micro_copy_engine micro_multitenant micro_allreduce micro_ptrprov
   ( cd build-asan && ctest -L bench-smoke --output-on-failure )
   note "bench: perfbench self-tests (builds into .bench_build/)"
   python3 perfbench/test_perfbench.py
-else
-  skip bench "--skip-bench"
 fi
 
 # --- tidy: clang-tidy over src/ -------------------------------------------------
-if [[ "$RUN_TIDY" -eq 1 ]]; then
+if selected tidy; then
   if command -v clang-tidy > /dev/null 2>&1; then
     note "tidy: clang-tidy over src/ (profile: .clang-tidy, warnings are errors)"
     cmake -B build-tidy -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
@@ -365,12 +327,10 @@ if [[ "$RUN_TIDY" -eq 1 ]]; then
   else
     skip tidy "clang-tidy not installed"
   fi
-else
-  skip tidy "--skip-tidy"
 fi
 
 # --- ca_lint: repository rules ----------------------------------------------------
-if [[ "$RUN_LINT" -eq 1 ]]; then
+if selected lint; then
   if command -v python3 > /dev/null 2>&1; then
     note "ca_lint: repository rules (tools/ca_lint.py)"
     if ! python3 tools/ca_lint.py --self-test; then
@@ -380,10 +340,8 @@ if [[ "$RUN_LINT" -eq 1 ]]; then
       fail=1
     fi
   else
-    skip ca_lint "python3 not installed"
+    skip lint "python3 not installed"
   fi
-else
-  skip ca_lint "--skip-lint"
 fi
 
 if [[ "$fail" -ne 0 ]]; then
