@@ -91,21 +91,25 @@ void BM_PlaceNewUnderPressure(benchmark::State& state) {
 BENCHMARK(BM_PlaceNewUnderPressure);
 
 void BM_KernelStagingBracket(benchmark::State& state) {
-  // begin_kernel/end_kernel over a typical argument count.
+  // begin_kernel/end_kernel over a typical argument count (4), with the
+  // given number of live objects tracked by the policy.  The bracket must
+  // cost O(args): per-bracket time stays flat as the live count grows.
   Rig rig;
+  const auto live = static_cast<std::size_t>(state.range(0));
   std::vector<dm::Object*> objs;
-  for (int i = 0; i < 4; ++i) {
-    dm::Object* o = rig.dm.create_object(64 * util::KiB);
+  for (std::size_t i = 0; i < live; ++i) {
+    dm::Object* o = rig.dm.create_object(512);  // 8192 fit in fast
     rig.policy.place_new(*o);
     objs.push_back(o);
   }
+  const std::span<dm::Object* const> args(objs.data(), 4);
   for (auto _ : state) {
-    rig.policy.begin_kernel(objs);
+    rig.policy.begin_kernel(args);
     rig.policy.end_kernel();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KernelStagingBracket);
+BENCHMARK(BM_KernelStagingBracket)->Arg(4)->Arg(1024)->Arg(8192);
 
 }  // namespace
 

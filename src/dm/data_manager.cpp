@@ -524,7 +524,8 @@ bool DataManager::evictfrom(sim::DeviceId dev, std::size_t start_offset,
     // is held, because every release path frees the block under
     // objects_mu_ -> heap_mu_ and destroys the Region only after those
     // locks drop.  Find the first live block intersecting the window
-    // [cursor, cursor + size).
+    // [cursor, cursor + size); its view carries the owner and the extent,
+    // so the scan needs no further allocator lookup.
     std::optional<std::size_t> blocked;
     Region* region = nullptr;
     std::size_t block_end = 0;
@@ -536,14 +537,14 @@ bool DataManager::evictfrom(sim::DeviceId dev, std::size_t start_offset,
         if (b.offset >= cursor + size) return false;
         if (b.allocated) {
           blocked = b.offset;
+          region = static_cast<Region*>(b.cookie);
+          block_end = b.offset + b.size;
           return false;
         }
         return true;
       });
       if (blocked) {
-        region = static_cast<Region*>(h.alloc->cookie(*blocked));
         CA_CHECK(region != nullptr, "heap block without an owning region");
-        block_end = *blocked + h.alloc->block_size(*blocked);
         victim = region->tenant();
       }
     }

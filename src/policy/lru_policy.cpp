@@ -178,18 +178,26 @@ void LruPolicy::on_destroy(dm::Object& object) {
   }
   const auto it = nodes_.find(&object);
   if (it == nodes_.end()) return;
+  if (it->second.in_flight) std::erase(in_flight_, &it->second);
   remove_from_lru(it->second);
   nodes_.erase(it);
 }
 
 void LruPolicy::begin_kernel(std::span<dm::Object* const> args) {
   for (dm::Object* obj : args) {
-    if (obj != nullptr) node(*obj).in_flight = true;
+    if (obj == nullptr) continue;
+    Node& n = node(*obj);
+    if (!n.in_flight) {
+      n.in_flight = true;
+      in_flight_.push_back(&n);
+    }
   }
 }
 
 void LruPolicy::end_kernel() {
-  for (auto& [obj, n] : nodes_) n.in_flight = false;
+  // Everything flagged since the last end_kernel, nested brackets included.
+  for (Node* n : in_flight_) n->in_flight = false;
+  in_flight_.clear();
 }
 
 // --- mechanisms (paper Listings 1 and 2) -------------------------------------
@@ -275,8 +283,11 @@ bool LruPolicy::try_displace(dm::Region& region) {
   if (object == nullptr) return false;  // orphan: not ours to move
   if (object->pinned()) return false;   // a kernel holds its pointer
   if (object->size() < config_.min_migratable) return false;  // not worth it
-  Node& n = node(*object);
-  if (n.in_flight) return false;  // argument of the kernel being staged
+  // Look up without inserting: an untracked object cannot be in flight.
+  const auto it = nodes_.find(object);
+  if (it != nodes_.end() && it->second.in_flight) {
+    return false;  // argument of the kernel being staged
+  }
   evict(*object);
   return true;
 }

@@ -181,6 +181,9 @@ class LruPolicy final : public Policy {
   PressureHandler pressure_;
   OpStats stats_;
   std::unordered_map<const dm::Object*, Node> nodes_;
+  /// Nodes flagged in_flight since the last end_kernel, each once: the
+  /// bracket costs O(args), not O(nodes_).
+  std::vector<Node*> in_flight_;
   util::IntrusiveList<Node, &Node::lru_hook> lru_;
   std::vector<dm::Object*> archive_trace_;  ///< forward-pass archive order
   std::unordered_map<const dm::Object*, std::size_t> trace_pos_;

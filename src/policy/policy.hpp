@@ -66,7 +66,10 @@ class Policy {
 
   /// Kernel bracketing: objects in `args` are arguments of the kernel being
   /// staged and must not be displaced by evictions triggered while staging
-  /// its other arguments.
+  /// its other arguments.  The runtime brackets twice per kernel, so both
+  /// calls must cost O(args), never O(tracked objects): `end_kernel`
+  /// releases exactly the objects the `begin_kernel` calls since the last
+  /// `end_kernel` protected (nested brackets included).
   virtual void begin_kernel(std::span<dm::Object* const> args) = 0;
   virtual void end_kernel() = 0;
 

@@ -175,18 +175,25 @@ bool TieredLruPolicy::retire(dm::Object& object) {
 void TieredLruPolicy::on_destroy(dm::Object& object) {
   const auto it = nodes_.find(&object);
   if (it == nodes_.end()) return;
+  if (it->second.in_flight) std::erase(in_flight_, &it->second);
   unfile(it->second);
   nodes_.erase(it);
 }
 
 void TieredLruPolicy::begin_kernel(std::span<dm::Object* const> args) {
   for (dm::Object* obj : args) {
-    if (obj != nullptr) node(*obj).in_flight = true;
+    if (obj == nullptr) continue;
+    Node& n = node(*obj);
+    if (!n.in_flight) {
+      n.in_flight = true;
+      in_flight_.push_back(&n);
+    }
   }
 }
 
 void TieredLruPolicy::end_kernel() {
-  for (auto& [obj, n] : nodes_) n.in_flight = false;
+  for (Node* n : in_flight_) n->in_flight = false;
+  in_flight_.clear();
 }
 
 }  // namespace ca::policy

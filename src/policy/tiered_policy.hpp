@@ -110,6 +110,7 @@ class TieredLruPolicy final : public Policy {
   PressureHandler pressure_;
   OpStats stats_;
   std::unordered_map<const dm::Object*, Node> nodes_;
+  std::vector<Node*> in_flight_;  ///< flagged since the last end_kernel
   std::vector<Lru> lists_;
 };
 

@@ -191,6 +191,58 @@ TEST_P(PolicyConformance, KernelBracketsNest) {
   destroy(b);
 }
 
+TEST_P(PolicyConformance, EndKernelReleasesExactlyItsArgs) {
+  // Four quarter-tier objects; `control` is never a kernel argument, so it
+  // shows what pressure does to an unprotected object under this policy.
+  dm::Object* a = make_object();
+  dm::Object* b = make_object();
+  dm::Object* c = make_object();
+  dm::Object* control = make_object();
+  for (dm::Object* o : {a, b, c, control}) policy_->will_write(*o);
+  const sim::DeviceId a_dev = dm_.getprimary(*a)->device();
+  const sim::DeviceId b_dev = dm_.getprimary(*b)->device();
+  const sim::DeviceId control_dev = dm_.getprimary(*control)->device();
+  const dm::Region* c_primary = dm_.getprimary(*c);
+
+  dm::Object* first[] = {a, a, b};  // a repeated argument
+  policy_->begin_kernel(first);
+  policy_->end_kernel();
+  dm::Object* second[] = {c};
+  policy_->begin_kernel(second);
+
+  // Fast-memory pressure while the second bracket is open: every filler is
+  // written, so even a policy that places new objects in slow memory
+  // stages it in fast memory.
+  std::vector<dm::Object*> filler;
+  for (int i = 0; i < 8; ++i) {
+    try {
+      filler.push_back(make_object());
+      policy_->will_write(*filler.back());
+    } catch (const OutOfMemoryError&) {
+      break;
+    }
+  }
+  // c is an argument of the open bracket and must not have moved; a and b
+  // were released by the first end_kernel and fare exactly like control.
+  EXPECT_EQ(dm_.getprimary(*c), c_primary);
+  const bool control_moved =
+      dm_.getprimary(*control)->device() != control_dev;
+  EXPECT_EQ(dm_.getprimary(*a)->device() != a_dev, control_moved);
+  EXPECT_EQ(dm_.getprimary(*b)->device() != b_dev, control_moved);
+  policy_->end_kernel();
+
+  // Destroying an object while it is flagged in flight, then closing the
+  // bracket, must not touch the destroyed object's bookkeeping.
+  dm::Object* third[] = {b, c};
+  policy_->begin_kernel(third);
+  destroy(b);
+  policy_->end_kernel();
+
+  for (dm::Object* o : {a, c, control}) destroy(o);
+  for (auto* o : filler) destroy(o);
+  dm_.check_invariants();
+}
+
 TEST_P(PolicyConformance, SurvivesChurnWithInvariantsIntact) {
   std::vector<dm::Object*> live;
   util::Xoshiro256 rng(17);

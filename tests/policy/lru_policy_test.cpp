@@ -229,6 +229,27 @@ TEST_F(LruPolicyFixture, InFlightObjectsAreNotDisplaced) {
   for (auto* o : objs) dm_.destroy_object(o);
 }
 
+TEST_F(LruPolicyFixture, ReleasedObjectsAreTheFirstVictims) {
+  auto p = make({.local_alloc = true});
+  std::vector<dm::Object*> objs;
+  for (int i = 0; i < 4; ++i) objs.push_back(new_object(p));
+  std::array<dm::Object*, 2> args = {objs[0], objs[1]};
+  p.begin_kernel(args);
+  objs.push_back(new_object(p));  // displaces objs[2]
+  objs.push_back(new_object(p));  // displaces objs[3]
+  p.end_kernel();
+  // Released, the two oldest are again the coldest residents: the next two
+  // allocations displace them and nothing else.
+  objs.push_back(new_object(p));
+  objs.push_back(new_object(p));
+  EXPECT_EQ(device_of(*objs[0]), sim::kSlow);
+  EXPECT_EQ(device_of(*objs[1]), sim::kSlow);
+  EXPECT_EQ(device_of(*objs[4]), sim::kFast);
+  EXPECT_EQ(device_of(*objs[5]), sim::kFast);
+  EXPECT_EQ(p.op_stats().evictions, 4u);
+  for (auto* o : objs) dm_.destroy_object(o);
+}
+
 TEST_F(LruPolicyFixture, PinnedObjectsAreNotDisplaced) {
   auto p = make({.local_alloc = true});
   std::vector<dm::Object*> objs;
