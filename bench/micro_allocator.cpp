@@ -9,7 +9,9 @@
 //     forward, gradients backward) -- run against both the frozen map-based
 //     ReferenceAllocator ("old") and the binned FreeListAllocator ("new").
 //     Emits BENCH_allocator.json with old-vs-new ops/sec, p99 alloc
-//     latency, and an explicit "speedup:" acceptance record.
+//     latency, and an explicit "speedup:" acceptance record, plus an
+//     "arena construct" row: the wall time to map and pre-fault the
+//     device arenas a DataManager builds at start-up.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,8 +21,10 @@
 #include <vector>
 
 #include "common.hpp"
+#include "mem/arena.hpp"
 #include "mem/freelist_allocator.hpp"
 #include "mem/reference_allocator.hpp"
+#include "sim/platform.hpp"
 #include "util/align.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -226,6 +230,35 @@ ReplayResult replay_trace(const std::vector<TraceOp>& ops,
   return r;
 }
 
+/// Wall time to construct one arena per device of the Cascade Lake preset,
+/// as DataManager's device heaps do: the paper-scale 1300 MiB NVRAM +
+/// 180 MiB DRAM pair in a full run, a 64 MiB pair under --smoke.  Median of
+/// three constructions; the arenas are unmapped outside the timed span.
+void time_arena_construct(BenchReport& report, bool smoke) {
+  using clock = std::chrono::steady_clock;
+  const sim::Platform platform =
+      smoke ? sim::Platform::cascade_lake_scaled(64 * util::MiB,
+                                                 64 * util::MiB)
+            : sim::Platform::cascade_lake_default();
+  std::uint64_t bytes = 0;
+  for (const auto& spec : platform.devices) bytes += spec.capacity;
+  std::vector<double> samples;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<mem::Arena> arenas;
+    arenas.reserve(platform.devices.size());
+    const auto t0 = clock::now();
+    for (const auto& spec : platform.devices) {
+      arenas.emplace_back(spec.capacity);
+    }
+    samples.push_back(
+        std::chrono::duration<double>(clock::now() - t0).count());
+  }
+  const double median = percentile(samples, 0.5);
+  std::printf("\narena construct (%s): %.4f s median of 3\n",
+              util::format_bytes(bytes).c_str(), median);
+  report.add("arena construct", 0.0, median, bytes);
+}
+
 const char* fit_name(FreeListAllocator::Fit fit) {
   return fit == FreeListAllocator::Fit::kFirstFit ? "firstfit" : "bestfit";
 }
@@ -295,6 +328,8 @@ int run_trace(int argc, char** argv, bool smoke) {
                            fit_name(fit) + " old vs new",
                        speedup);
   }
+
+  time_arena_construct(report, smoke);
 
   report.write(argc, argv, "allocator_trace.csv");
 
