@@ -55,10 +55,6 @@ Outcome run(const ModelSpec& spec, std::size_t dram_mib, std::size_t nvram_mib,
   return out;
 }
 
-std::uint64_t moved_bytes(const IterationMetrics& m) {
-  return m.dram.total() + m.nvram.total();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,6 +64,16 @@ int main(int argc, char** argv) {
                "synchronous copies vs the Fig. 7 projection.");
 
   BenchReport report("ablation_async");
+  // One outcome as three rows: steady-state simulated seconds, host wall
+  // seconds for the whole run, and bytes moved in the steady iteration.
+  const auto add = [&](const std::string& label, const Outcome& o) {
+    report.add("sim s: " + label, o.steady.seconds, "s", Better::kLower);
+    report.add("wall s: " + label, o.wall_seconds, "s", Better::kLower);
+    report.add("bytes moved: " + label,
+               static_cast<double>(o.steady.dram.total() +
+                                   o.steady.nvram.total()),
+               "B", Better::kLower);
+  };
   bool ordering_holds = true;
 
   // --- Large-model shape (the paper's headline configuration) --------------
@@ -95,8 +101,7 @@ int main(int argc, char** argv) {
                           "s",
                       util::format_fixed(o.steady.async_overlap_seconds, 1) +
                           "s"});
-      report.add(std::string(spec.name) + "/" + label, o.steady.seconds,
-                 o.wall_seconds, moved_bytes(o.steady));
+      add(spec.name + "/" + label, o);
     };
     row("sync", sync);
     row("serialized", serial);
@@ -147,9 +152,7 @@ int main(int argc, char** argv) {
                       util::format_fixed(multi.steady.seconds, 1) + "s",
                       util::format_fixed(projection, 1) + "s",
                       util::format_fixed(100.0 * recovered, 0) + "%"});
-      report.add(spec.name + "/" + std::to_string(dram) + "MiB/multi",
-                 multi.steady.seconds, multi.wall_seconds,
-                 moved_bytes(multi.steady));
+      add(spec.name + "/" + std::to_string(dram) + "MiB/multi", multi);
     }
     std::fputs(util::render_table(rows).c_str(), stdout);
     std::printf("\n");

@@ -1,8 +1,9 @@
-// Shared infrastructure for the figure-reproduction benches.
+// Shared infrastructure for every bench: the figure-reproduction helpers,
+// the microbench timer and the BENCH_<name>.json emitter.
 //
-// Every bench binary reproduces one table or figure from the paper
-// (see DESIGN.md §4).  All results are in *simulated seconds* on the scaled
-// Cascade Lake platform; shapes -- orderings and ratios -- are the
+// Each figure bench reproduces one table or figure from the paper (see
+// DESIGN.md §4).  All figure results are in *simulated seconds* on the
+// scaled Cascade Lake platform; shapes -- orderings and ratios -- are the
 // reproduction target, not absolute numbers (the authors ran on real
 // Optane hardware).
 #pragma once
@@ -10,12 +11,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dnn/models.hpp"
 #include "dnn/trainer.hpp"
+#include "simd/isa.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/trace.hpp"
 #include "util/format.hpp"
@@ -93,18 +97,20 @@ inline void print_header(const char* figure, const char* description) {
       util::format_bytes(platform.spec(sim::kSlow).capacity).c_str());
 }
 
+/// The output directory: the first non-flag argument, or nullptr.
+inline const char* output_dir(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i][0] != '-') return argv[i];
+  }
+  return nullptr;
+}
+
 /// Best-effort CSV export: every bench accepts an optional output
 /// directory as its first non-flag argument; tables are written there as
 /// <name>.csv.
 inline void maybe_write_csv(int argc, char** argv, const char* name,
                             const std::vector<std::vector<std::string>>& rows) {
-  const char* dir = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') {
-      dir = argv[i];
-      break;
-    }
-  }
+  const char* dir = output_dir(argc, argv);
   if (dir == nullptr) return;
   const std::string path = std::string(dir) + "/" + name;
   if (telemetry::write_csv(path, rows)) {
@@ -117,6 +123,11 @@ inline void maybe_write_csv(int argc, char** argv, const char* name,
 inline std::string mib(std::uint64_t bytes) {
   return util::format_fixed(static_cast<double>(bytes) / (1024.0 * 1024.0),
                             0);
+}
+
+/// Throughput of `bytes` moved in `seconds`, in GiB/s (0 for no time).
+inline double gib_per_s(double bytes, double seconds) {
+  return seconds > 0.0 ? bytes / seconds / (1024.0 * 1024.0 * 1024.0) : 0.0;
 }
 
 /// Host wall-clock stopwatch, for reporting real elapsed time next to the
@@ -135,12 +146,43 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// One machine-readable result row for BENCH_<name>.json.
+/// Best of `reps` timed runs: `fn()` runs one rep, times its own span and
+/// returns the seconds, so per-rep set-up stays outside the measurement.
+template <class Fn>
+double best_seconds(int reps, Fn&& fn) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < reps; ++rep) best = std::min(best, fn());
+  return best;
+}
+
+/// Best-of-`reps` seconds per call of `body`, timed over `iters` calls.
+template <class Fn>
+double time_per_op(int reps, std::size_t iters, Fn&& body) {
+  return best_seconds(reps,
+                      [&] {
+                        WallTimer wall;
+                        for (std::size_t i = 0; i < iters; ++i) body();
+                        return wall.seconds();
+                      }) /
+         static_cast<double>(iters);
+}
+
+/// Keeps the compiler from discarding `value` or the loads behind it.
+template <class T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// Which way a BENCH row's value improves.
+enum class Better { kLower, kHigher };
+
+/// One typed row of BENCH_<name>.json, with the field names perfbench's
+/// manifest uses.
 struct BenchRecord {
-  std::string label;
-  double simulated_seconds = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t bytes_moved = 0;
+  std::string name;
+  double value = 0.0;
+  std::string unit;  ///< "s", "ops/s", "GiB/s", "B", "count", "ratio", ...
+  Better better = Better::kLower;
 };
 
 /// Escape a string for inclusion in a JSON document.
@@ -160,41 +202,6 @@ inline std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-/// Machine-readable export: writes BENCH_<name>.json into the output
-/// directory given as the first non-flag argument (or the current
-/// directory), with one entry per record.
-inline void write_bench_json(int argc, char** argv, const char* name,
-                             const std::vector<BenchRecord>& records) {
-  std::string dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') {
-      dir = argv[i];
-      break;
-    }
-  }
-  const std::string path = dir + "/BENCH_" + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("[json] could not write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [\n",
-               json_escape(name).c_str());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
-    std::fprintf(f,
-                 "    {\"label\": \"%s\", \"simulated_seconds\": %.9g, "
-                 "\"wall_seconds\": %.9g, \"bytes_moved\": %llu}%s\n",
-                 json_escape(r.label).c_str(), r.simulated_seconds,
-                 r.wall_seconds,
-                 static_cast<unsigned long long>(r.bytes_moved),
-                 i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("[json] wrote %s\n", path.c_str());
 }
 
 /// True when `flag` (e.g. "--smoke") appears among the arguments.
@@ -217,34 +224,18 @@ inline double percentile(std::vector<double>& samples, double p) {
 }
 
 /// Accumulates one bench's machine-readable output -- the BENCH_<name>.json
-/// records and the mirrored CSV table -- behind a single interface, so all
-/// benches share one emitter and one label convention instead of each
-/// hand-maintaining parallel vectors:
-///   * add()        -- a timed result row (simulated + wall seconds, bytes);
-///   * add_metric() -- a derived value (rate, latency, ratio): the
-///                     `wall_seconds` JSON field carries the value and the
-///                     label names the unit;
-///   * add_speedup()-- the acceptance-record shape "speedup: <what>" with
-///                     the ratio in `wall_seconds`, so CI greps one label
-///                     shape across every bench.
+/// rows and the mirrored CSV table -- behind a single interface, so every
+/// bench shares one emitter.  Acceptance rows are named "speedup: <what>"
+/// (unit "ratio", higher is better), so CI greps one name shape across
+/// every bench.
 class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {}
 
-  void add(std::string label, double simulated_seconds, double wall_seconds,
-           std::uint64_t bytes_moved = 0) {
-    records_.push_back({std::move(label), simulated_seconds, wall_seconds,
-                        bytes_moved});
-  }
-
-  void add_metric(const std::string& label, double value,
-                  std::uint64_t bytes = 0) {
-    records_.push_back({label, 0.0, value, bytes});
-  }
-
-  void add_speedup(const std::string& what, double ratio,
-                   std::uint64_t bytes = 0) {
-    add_metric("speedup: " + what, ratio, bytes);
+  void add(std::string metric, double value, std::string unit,
+           Better better) {
+    records_.push_back(
+        {std::move(metric), value, std::move(unit), better});
   }
 
   void csv_header(std::vector<std::string> columns) {
@@ -255,17 +246,57 @@ class BenchReport {
     table_.push_back(std::move(columns));
   }
 
-  /// Emit BENCH_<name>.json (always) and, when a CSV file name was given
-  /// and rows were added, <csv_name> via maybe_write_csv.
-  void write(int argc, char** argv, const char* csv_name = nullptr) const {
+  /// Prints every row as "name  value unit" (the microbenches' console
+  /// table).
+  void print() const {
+    for (const auto& r : records_) {
+      std::printf("%-48s %14.6g %s\n", r.name.c_str(), r.value,
+                  r.unit.c_str());
+    }
+  }
+
+  /// Emits BENCH_<name>.json -- BENCH_<name>.smoke.json under --smoke, so
+  /// a smoke run never overwrites a full-run file -- into the output
+  /// directory (default "."), and <csv_name> via maybe_write_csv when one
+  /// was given and rows were added.  Returns the JSON path, or "" when it
+  /// could not be written.
+  std::string write(int argc, char** argv,
+                    const char* csv_name = nullptr) const {
     if (csv_name != nullptr && !table_.empty()) {
       maybe_write_csv(argc, argv, csv_name, table_);
     }
-    write_bench_json(argc, argv, name_.c_str(), records_);
-  }
-
-  [[nodiscard]] const std::vector<BenchRecord>& records() const {
-    return records_;
+    const bool smoke = has_flag(argc, argv, "--smoke");
+    const char* dir = output_dir(argc, argv);
+    const std::string path = std::string(dir != nullptr ? dir : ".") +
+                             "/BENCH_" + name_ +
+                             (smoke ? ".smoke.json" : ".json");
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::printf("[json] could not write %s\n", path.c_str());
+      return "";
+    }
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"isa\": \"%s\",\n"
+                 "  \"hw_threads\": %u,\n  \"smoke\": %s,\n"
+                 "  \"results\": [\n",
+                 json_escape(name_).c_str(),
+                 simd::level_name(simd::active_level()),
+                 std::thread::hardware_concurrency(),
+                 smoke ? "true" : "false");
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      const auto& r = records_[i];
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"value\": %.9g, \"unit\": \"%s\", "
+                   "\"better\": \"%s\"}%s\n",
+                   json_escape(r.name).c_str(), r.value,
+                   json_escape(r.unit).c_str(),
+                   r.better == Better::kLower ? "lower" : "higher",
+                   i + 1 < records_.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("[json] wrote %s\n", path.c_str());
+    return path;
   }
 
  private:

@@ -2,20 +2,18 @@
 // fit-policy comparison, address-order walking (the evictfrom primitive),
 // and behaviour under fragmentation.
 //
-// Two entry points share this binary:
-//   * default: the google-benchmark microbenchmarks below;
-//   * --trace (or --smoke): a DNN-shaped allocation trace replay -- the
-//     VGG-416 tensor size sequence (weights persistent, activations
-//     forward, gradients backward) -- run against both the frozen map-based
-//     ReferenceAllocator ("old") and the binned FreeListAllocator ("new").
-//     Emits BENCH_allocator.json with old-vs-new ops/sec, p99 alloc
-//     latency, and an explicit "speedup:" acceptance record, plus an
-//     "arena construct" row: the wall time to map and pre-fault the
-//     device arenas a DataManager builds at start-up.
-#include <benchmark/benchmark.h>
-
+// Both parts write BENCH_allocator.json (`--smoke`: tiny counts and shapes;
+// `--trace`: the trace replay alone):
+//   * the microbenchmark cases below, one row each (best-of-reps host
+//     seconds per call);
+//   * a DNN-shaped allocation trace replay -- the VGG-416 tensor size
+//     sequence (weights persistent, activations forward, gradients
+//     backward) -- run against both the frozen map-based
+//     ReferenceAllocator ("old") and the binned FreeListAllocator ("new"):
+//     old-vs-new ops/sec, p99 alloc latency, and an explicit "speedup:"
+//     acceptance record, plus an "arena construct" row: the wall time to
+//     map and pre-fault the device arenas a DataManager builds at start-up.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -37,84 +35,94 @@ using mem::ReferenceAllocator;
 
 namespace {
 
-void BM_AllocFreePair(benchmark::State& state) {
-  FreeListAllocator alloc(64 * util::MiB);
-  const std::size_t size = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto off = alloc.allocate(size);
-    benchmark::DoNotOptimize(off);
-    alloc.free(*off);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AllocFreePair)->Arg(256)->Arg(64 * 1024)->Arg(4 * 1024 * 1024);
+// ---------------------------------------------------------------------------
+// Microbenchmark cases: one row each, best-of-reps host seconds per call
+// ---------------------------------------------------------------------------
 
-template <FreeListAllocator::Fit fit>
-void BM_MixedWorkload(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    FreeListAllocator alloc(16 * util::MiB, 64, fit);
-    util::Xoshiro256 rng(42);
-    std::vector<std::size_t> live;
-    state.ResumeTiming();
-    for (int i = 0; i < 2000; ++i) {
-      if (live.empty() || rng.uniform() < 0.6) {
-        if (auto off = alloc.allocate(1 + rng.bounded(32 * 1024))) {
-          live.push_back(*off);
-        }
-      } else {
-        const std::size_t idx = rng.bounded(live.size());
-        alloc.free(live[idx]);
-        live[idx] = live.back();
-        live.pop_back();
-      }
-    }
-    benchmark::DoNotOptimize(alloc.stats());
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-void BM_MixedFirstFit(benchmark::State& s) {
-  BM_MixedWorkload<FreeListAllocator::Fit::kFirstFit>(s);
-}
-void BM_MixedBestFit(benchmark::State& s) {
-  BM_MixedWorkload<FreeListAllocator::Fit::kBestFit>(s);
-}
-BENCHMARK(BM_MixedFirstFit);
-BENCHMARK(BM_MixedBestFit);
-
-void BM_AddressOrderWalk(benchmark::State& state) {
-  FreeListAllocator alloc(16 * util::MiB);
+/// Fills `alloc` with `hole`-sized blocks and frees every other one.
+void shatter(FreeListAllocator& alloc, std::size_t hole) {
   std::vector<std::size_t> offs;
-  while (auto off = alloc.allocate(8 * 1024)) offs.push_back(*off);
+  while (auto off = alloc.allocate(hole)) offs.push_back(*off);
   for (std::size_t i = 0; i < offs.size(); i += 2) alloc.free(offs[i]);
-  for (auto _ : state) {
-    std::size_t blocks = 0;
-    alloc.for_blocks_from(0, [&](const FreeListAllocator::BlockView&) {
-      ++blocks;
-      return true;
-    });
-    benchmark::DoNotOptimize(blocks);
-  }
 }
-BENCHMARK(BM_AddressOrderWalk);
 
-void BM_FragmentedAllocation(benchmark::State& state) {
-  // Allocation when the free space is shattered into many small holes.
-  for (auto _ : state) {
-    state.PauseTiming();
+void run_cases(BenchReport& report, bool smoke) {
+  const int reps = smoke ? 1 : 5;
+  const std::size_t iters = smoke ? 100 : 1'000'000;
+  const auto add = [&](const std::string& name, double seconds) {
+    report.add(name, seconds, "s", Better::kLower);
+  };
+
+  for (const std::size_t size : {std::size_t{256}, 64 * util::KiB,
+                                 4 * util::MiB}) {
+    FreeListAllocator alloc(64 * util::MiB);
+    add("BM_AllocFreePair/" + std::to_string(size),
+        time_per_op(reps, iters, [&] {
+          const auto off = alloc.allocate(size);
+          do_not_optimize(off);
+          alloc.free(*off);
+        }));
+  }
+
+  // A 60/40 alloc/free mix of 1 B..32 KiB requests; each rep times 2000
+  // calls on a fresh heap, so the row is seconds per 2000-call run.
+  constexpr int kMixedOps = 2000;
+  for (const auto fit : {FreeListAllocator::Fit::kFirstFit,
+                         FreeListAllocator::Fit::kBestFit}) {
+    const double s = best_seconds(smoke ? 1 : 50, [&] {
+      FreeListAllocator alloc(16 * util::MiB, 64, fit);
+      util::Xoshiro256 rng(42);
+      std::vector<std::size_t> live;
+      WallTimer wall;
+      for (int i = 0; i < kMixedOps; ++i) {
+        if (live.empty() || rng.uniform() < 0.6) {
+          if (auto off = alloc.allocate(1 + rng.bounded(32 * 1024))) {
+            live.push_back(*off);
+          }
+        } else {
+          const std::size_t idx = rng.bounded(live.size());
+          alloc.free(live[idx]);
+          live[idx] = live.back();
+          live.pop_back();
+        }
+      }
+      do_not_optimize(alloc.stats().free_bytes);
+      return wall.seconds();
+    });
+    const std::string name = fit == FreeListAllocator::Fit::kFirstFit
+                                 ? "BM_MixedFirstFit"
+                                 : "BM_MixedBestFit";
+    add(name, s);
+    report.add(name + " [calls/s]", kMixedOps / s, "calls/s",
+               Better::kHigher);
+  }
+
+  {
     FreeListAllocator alloc(16 * util::MiB);
-    std::vector<std::size_t> offs;
-    while (auto off = alloc.allocate(4 * 1024)) offs.push_back(*off);
-    for (std::size_t i = 0; i < offs.size(); i += 2) alloc.free(offs[i]);
-    state.ResumeTiming();
-    // Request something bigger than any hole: full scan then failure.
-    benchmark::DoNotOptimize(alloc.allocate(64 * 1024));
+    shatter(alloc, 8 * util::KiB);
+    add("BM_AddressOrderWalk", time_per_op(reps, smoke ? 10 : 2000, [&] {
+          std::size_t blocks = 0;
+          alloc.for_blocks_from(0, [&](const FreeListAllocator::BlockView&) {
+            ++blocks;
+            return true;
+          });
+          do_not_optimize(blocks);
+        }));
+  }
+  {
+    // Allocation when the free space is shattered into many small holes:
+    // a request bigger than any hole scans, fails and leaves the heap as
+    // it was.
+    FreeListAllocator alloc(16 * util::MiB);
+    shatter(alloc, 4 * util::KiB);
+    add("BM_FragmentedAllocation", time_per_op(reps, iters, [&] {
+          do_not_optimize(alloc.allocate(64 * util::KiB));
+        }));
   }
 }
-BENCHMARK(BM_FragmentedAllocation);
 
 // ---------------------------------------------------------------------------
-// DNN trace mode (--trace / --smoke)
+// DNN trace replay
 // ---------------------------------------------------------------------------
 
 /// One allocator call in the replayed trace.  `slot` names the tensor so
@@ -189,7 +197,6 @@ struct ReplayResult {
   double total_seconds = 0.0;   ///< wall time for the whole trace
   double p99_alloc_seconds = 0.0;
   std::size_t ops = 0;
-  std::uint64_t bytes_allocated = 0;
 
   [[nodiscard]] double ops_per_sec() const {
     return total_seconds > 0.0 ? static_cast<double>(ops) / total_seconds
@@ -203,28 +210,24 @@ template <class Alloc>
 ReplayResult replay_trace(const std::vector<TraceOp>& ops,
                           std::size_t slot_count, std::size_t heap_bytes,
                           typename Alloc::Fit fit) {
-  using clock = std::chrono::steady_clock;
   Alloc heap(heap_bytes, 64, fit);
   std::vector<std::size_t> slots(slot_count, 0);
   std::vector<double> alloc_s;
   alloc_s.reserve(ops.size());
   ReplayResult r;
-  const auto run0 = clock::now();
+  WallTimer run;
   for (const TraceOp& op : ops) {
     if (op.is_alloc) {
-      const auto t0 = clock::now();
+      WallTimer call;
       const auto off = heap.allocate(op.size);
-      const auto t1 = clock::now();
+      alloc_s.push_back(call.seconds());
       CA_CHECK(off.has_value(), "trace heap exhausted: grow kTraceHeap");
       slots[op.slot] = *off;
-      alloc_s.push_back(std::chrono::duration<double>(t1 - t0).count());
-      r.bytes_allocated += op.size;
     } else {
       heap.free(slots[op.slot]);
     }
   }
-  r.total_seconds =
-      std::chrono::duration<double>(clock::now() - run0).count();
+  r.total_seconds = run.seconds();
   r.ops = ops.size();
   r.p99_alloc_seconds = percentile(alloc_s, 0.99);
   return r;
@@ -235,7 +238,6 @@ ReplayResult replay_trace(const std::vector<TraceOp>& ops,
 /// 180 MiB DRAM pair in a full run, a 64 MiB pair under --smoke.  Median of
 /// three constructions; the arenas are unmapped outside the timed span.
 void time_arena_construct(BenchReport& report, bool smoke) {
-  using clock = std::chrono::steady_clock;
   const sim::Platform platform =
       smoke ? sim::Platform::cascade_lake_scaled(64 * util::MiB,
                                                  64 * util::MiB)
@@ -246,24 +248,23 @@ void time_arena_construct(BenchReport& report, bool smoke) {
   for (int rep = 0; rep < 3; ++rep) {
     std::vector<mem::Arena> arenas;
     arenas.reserve(platform.devices.size());
-    const auto t0 = clock::now();
+    WallTimer wall;
     for (const auto& spec : platform.devices) {
       arenas.emplace_back(spec.capacity);
     }
-    samples.push_back(
-        std::chrono::duration<double>(clock::now() - t0).count());
+    samples.push_back(wall.seconds());
   }
   const double median = percentile(samples, 0.5);
   std::printf("\narena construct (%s): %.4f s median of 3\n",
               util::format_bytes(bytes).c_str(), median);
-  report.add("arena construct", 0.0, median, bytes);
+  report.add("arena construct", median, "s", Better::kLower);
 }
 
 const char* fit_name(FreeListAllocator::Fit fit) {
   return fit == FreeListAllocator::Fit::kFirstFit ? "firstfit" : "bestfit";
 }
 
-int run_trace(int argc, char** argv, bool smoke) {
+void run_trace(BenchReport& report, bool smoke) {
   std::printf("=== allocator DNN trace (%s) ===\n",
               smoke ? "smoke" : "full");
   std::printf(
@@ -289,7 +290,6 @@ int run_trace(int argc, char** argv, bool smoke) {
   std::printf("%-10s %-16s %12s %12s %10s\n", "fit", "allocator", "ops/sec",
               "p99 alloc", "speedup");
 
-  BenchReport report("allocator");
   report.csv_header({"fit", "allocator", "ops_per_sec", "p99_alloc_us",
                      "total_seconds"});
   double firstfit_speedup = 0.0;
@@ -316,22 +316,22 @@ int run_trace(int argc, char** argv, bool smoke) {
       const auto& r = side[0] == 'o' ? oldr : newr;
       const std::string label =
           std::string("trace ") + fit_name(fit) + " " + side;
-      report.add(label, 0.0, r.total_seconds, r.bytes_allocated);
-      report.add_metric("ops/sec: " + label, r.ops_per_sec());
-      report.add_metric("p99 alloc s: " + label, r.p99_alloc_seconds);
+      report.add(label, r.total_seconds, "s", Better::kLower);
+      report.add("ops/sec: " + label, r.ops_per_sec(), "ops/s",
+                 Better::kHigher);
+      report.add("p99 alloc s: " + label, r.p99_alloc_seconds, "s",
+                 Better::kLower);
       report.csv_row({fit_name(fit), side,
                       util::format_fixed(r.ops_per_sec(), 0),
                       util::format_fixed(r.p99_alloc_seconds * 1e6, 3),
                       util::format_fixed(r.total_seconds, 6)});
     }
-    report.add_speedup(std::string("DNN trace alloc/free, ") +
-                           fit_name(fit) + " old vs new",
-                       speedup);
+    report.add(std::string("speedup: DNN trace alloc/free, ") +
+                   fit_name(fit) + " old vs new",
+               speedup, "ratio", Better::kHigher);
   }
 
   time_arena_construct(report, smoke);
-
-  report.write(argc, argv, "allocator_trace.csv");
 
   if (!smoke && firstfit_speedup < 5.0) {
     std::printf(
@@ -339,18 +339,19 @@ int run_trace(int argc, char** argv, bool smoke) {
         "acceptance target\n",
         firstfit_speedup);
   }
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (has_flag(argc, argv, "--trace") || has_flag(argc, argv, "--smoke")) {
-    return run_trace(argc, argv, has_flag(argc, argv, "--smoke"));
+  const bool smoke = has_flag(argc, argv, "--smoke");
+  BenchReport report("allocator");
+  if (!has_flag(argc, argv, "--trace")) {
+    run_cases(report, smoke);
+    report.print();
+    std::printf("\n");
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  run_trace(report, smoke);
+  report.write(argc, argv, "allocator_trace.csv");
   return 0;
 }

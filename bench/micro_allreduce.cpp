@@ -164,12 +164,17 @@ int main(int argc, char** argv) {
           r.m.comm_busy_seconds, r.m.comm_exposed_seconds,
           r.m.comm_overlapped_seconds, r.m.buckets,
           util::format_bytes(r.wire_bytes).c_str());
-      report.add(label, r.m.step_seconds, r.wall_seconds, r.wire_bytes);
-      report.add_metric("samples/sim-s: " + label, r.m.samples_per_second);
-      report.add_metric("comm exposed s: " + label,
-                        r.m.comm_exposed_seconds);
-      report.add_metric("comm overlapped s: " + label,
-                        r.m.comm_overlapped_seconds);
+      report.add("step sim s: " + label, r.m.step_seconds, "s",
+                 Better::kLower);
+      report.add("wall s: " + label, r.wall_seconds, "s", Better::kLower);
+      report.add("wire bytes: " + label, static_cast<double>(r.wire_bytes),
+                 "B", Better::kLower);
+      report.add("samples/sim-s: " + label, r.m.samples_per_second,
+                 "samples/s", Better::kHigher);
+      report.add("comm exposed s: " + label, r.m.comm_exposed_seconds, "s",
+                 Better::kLower);
+      report.add("comm overlapped s: " + label, r.m.comm_overlapped_seconds,
+                 "s", Better::kHigher);
       report.csv_row({label, util::format_fixed(r.m.step_seconds, 4),
                       util::format_fixed(r.m.samples_per_second, 1),
                       util::format_fixed(r.m.comm_busy_seconds, 4),
@@ -192,16 +197,16 @@ int main(int argc, char** argv) {
         "exposed comm\n\n",
         k, thr_gain, exposed_gain);
     const std::string kt = "K=" + std::to_string(k);
-    report.add_speedup(
-        "aggregate samples/sim-s, " + kt + " overlapped vs serialized",
-        thr_gain);
-    report.add_speedup(
-        "comm-exposed seconds, " + kt + " serialized vs overlapped",
-        exposed_gain);
-    report.add_metric("ring picks: " + kt,
-                      static_cast<double>(res[1].ring_picks));
-    report.add_metric("tree picks: " + kt,
-                      static_cast<double>(res[1].tree_picks));
+    report.add(
+        "speedup: aggregate samples/sim-s, " + kt + " overlapped vs serialized",
+        thr_gain, "ratio", Better::kHigher);
+    report.add(
+        "speedup: comm-exposed seconds, " + kt + " serialized vs overlapped",
+        exposed_gain, "ratio", Better::kHigher);
+    report.add("ring picks: " + kt, static_cast<double>(res[1].ring_picks),
+               "count", Better::kHigher);
+    report.add("tree picks: " + kt, static_cast<double>(res[1].tree_picks),
+               "count", Better::kLower);
   }
 
   // --- ring-vs-tree crossover (pure cost model, the per-bucket pick) ------
@@ -212,8 +217,8 @@ int main(int argc, char** argv) {
     std::printf("  K=%zu  crossover %s (tree wins below, ring above)\n", k,
                 xover == 0 ? "none (ring always)"
                            : util::format_bytes(xover).c_str());
-    report.add_metric("crossover bytes (tree->ring): K=" + std::to_string(k),
-                      static_cast<double>(xover));
+    report.add("crossover bytes (tree->ring): K=" + std::to_string(k),
+               static_cast<double>(xover), "B", Better::kLower);
     for (std::size_t bytes = 16 * util::KiB; bytes <= 4 * util::MiB;
          bytes *= 4) {
       const double ring_s = comm::ring_seconds(base.link, k, bytes);
@@ -221,14 +226,13 @@ int main(int argc, char** argv) {
       const comm::Algorithm pick = comm::pick_algorithm(base.link, k, bytes);
       const std::string tag = "K=" + std::to_string(k) + " " +
                               util::format_bytes(bytes);
-      report.add_metric("ring s: " + tag, ring_s, bytes);
-      report.add_metric("tree s: " + tag, tree_s, bytes);
+      report.add("ring s: " + tag, ring_s, "s", Better::kLower);
+      report.add("tree s: " + tag, tree_s, "s", Better::kLower);
       std::printf("    %-14s ring %8.4fs  tree %8.4fs  -> %s\n", tag.c_str(),
                   ring_s, tree_s, std::string(comm::to_string(pick)).c_str());
     }
   }
 
   report.write(argc, argv, "micro_allreduce.csv");
-  std::printf("\nwrote BENCH_allreduce.json\n");
   return 0;
 }

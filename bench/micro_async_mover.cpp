@@ -2,21 +2,24 @@
 // scheduling a transfer (which must NOT scale with transfer size -- the
 // real memcpy runs on a background mover thread), contrasted with the
 // synchronous copy path (which does), plus the modeled channel-overlap
-// behaviour of the per-direction channel pools.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+// behaviour of the per-direction channel pools.  One BENCH_async_mover.json
+// row per case and argument (best-of-reps host seconds per call, GiB/s
+// where bytes move) plus the inflight_peak, serial_slots and fetch_channels
+// counters.  `--smoke` runs every case with minimal counts.
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "dm/data_manager.hpp"
-#include "gbench_report.hpp"
 #include "util/align.hpp"
 
 using namespace ca;
+using namespace ca::bench;
 
 namespace {
 
-constexpr std::size_t kBatch = 8;  ///< schedules timed per manual sample
+constexpr std::size_t kBatch = 8;  ///< schedules timed per sample
 
 struct Rig {
   explicit Rig(std::size_t channels = 4)
@@ -34,98 +37,105 @@ struct Rig {
   dm::DataManager dm;
 };
 
-// Caller wall-clock per copyto_async: a batch of schedules onto distinct
-// destinations is timed; the drain (real memcpys on the mover) is not.
-// Compare against BM_CopytoSyncCall: this curve stays flat as bytes grow.
-void BM_CopytoAsyncSchedule(benchmark::State& state) {
-  Rig rig;
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  std::vector<dm::Region*> srcs;
-  std::vector<dm::Region*> dsts;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    srcs.push_back(rig.dm.allocate(sim::kSlow, bytes));
-    dsts.push_back(rig.dm.allocate(sim::kFast, bytes));
-  }
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      rig.dm.copyto_async(*dsts[i], *srcs[i]);
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool smoke = has_flag(argc, argv, "--smoke");
+  const int reps = smoke ? 1 : 5;
+  BenchReport report("async_mover");
+  const auto add = [&](const std::string& name, double seconds,
+                       double bytes) {
+    report.add(name, seconds, "s", Better::kLower);
+    if (bytes > 0.0) {
+      report.add(name + " [GiB/s]", gib_per_s(bytes, seconds), "GiB/s",
+                 Better::kHigher);
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() /
-                           static_cast<double>(kBatch));
-    // Untimed housekeeping: catch the simulated clock up to the mover
-    // horizon and retire everything so the registry stays small.
-    const double lag = rig.dm.mover_busy_until() - rig.clock.now();
-    if (lag > 0.0) rig.clock.advance(lag, sim::TimeCategory::kCompute);
-    rig.dm.drain_transfers();
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatch) *
-                          static_cast<int64_t>(bytes));
-  state.counters["inflight_peak"] =
-      static_cast<double>(rig.dm.async_stats().inflight_peak);
-}
-BENCHMARK(BM_CopytoAsyncSchedule)
-    ->Arg(256 * 1024)
-    ->Arg(1 * 1024 * 1024)
-    ->Arg(4 * 1024 * 1024)
-    ->Arg(16 * 1024 * 1024)
-    ->UseManualTime();
+  };
+  const std::size_t sizes[] = {256 * util::KiB, 1 * util::MiB, 4 * util::MiB,
+                               16 * util::MiB};
 
-// Caller wall-clock per synchronous copyto: scales with transfer size (the
-// caller performs the chunked memcpy itself).
-void BM_CopytoSyncCall(benchmark::State& state) {
-  Rig rig;
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  dm::Region* src = rig.dm.allocate(sim::kSlow, bytes);
-  dm::Region* dst = rig.dm.allocate(sim::kFast, bytes);
-  for (auto _ : state) {
-    rig.dm.copyto(*dst, *src);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes));
-}
-BENCHMARK(BM_CopytoSyncCall)
-    ->Arg(256 * 1024)
-    ->Arg(1 * 1024 * 1024)
-    ->Arg(4 * 1024 * 1024)
-    ->Arg(16 * 1024 * 1024);
-
-// Modeled channel overlap: N same-direction transfers scheduled
-// back-to-back finish in ceil(N / channels_per_direction) serial slots,
-// not N.  Reported via counters; the timed section is the scheduling loop.
-void BM_ChannelOverlapModel(benchmark::State& state) {
-  const std::size_t channels = static_cast<std::size_t>(state.range(0));
-  const std::size_t bytes = 2 * util::MiB;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Rig rig(channels);
+  // Caller wall-clock per copyto_async: a batch of schedules onto distinct
+  // destinations is timed; the drain (real memcpys on the mover) is not.
+  // Compare against BM_CopytoSyncCall: this curve stays flat as bytes grow.
+  for (const std::size_t bytes : sizes) {
+    Rig rig;
     std::vector<dm::Region*> srcs;
     std::vector<dm::Region*> dsts;
     for (std::size_t i = 0; i < kBatch; ++i) {
       srcs.push_back(rig.dm.allocate(sim::kSlow, bytes));
       dsts.push_back(rig.dm.allocate(sim::kFast, bytes));
     }
-    state.ResumeTiming();
-    double last_done = 0.0;
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      last_done = rig.dm.copyto_async(*dsts[i], *srcs[i]);
-    }
-    state.PauseTiming();
-    const double one = rig.dm.engine().modeled_copy_time(
-        bytes, sim::kSlow, sim::kFast, true);
-    state.counters["serial_slots"] = last_done / one;
-    state.counters["fetch_channels"] = static_cast<double>(
-        rig.dm.engine().channels_for(sim::kSlow, sim::kFast));
-    rig.dm.drain_transfers();
-    state.ResumeTiming();
+    const double batch_s = best_seconds(smoke ? 2 : 50, [&] {
+      WallTimer wall;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        rig.dm.copyto_async(*dsts[i], *srcs[i]);
+      }
+      const double s = wall.seconds();
+      // Untimed housekeeping: catch the simulated clock up to the mover
+      // horizon and retire everything so the registry stays small.
+      const double lag = rig.dm.mover_busy_until() - rig.clock.now();
+      if (lag > 0.0) rig.clock.advance(lag, sim::TimeCategory::kCompute);
+      rig.dm.drain_transfers();
+      return s;
+    });
+    const std::string name = "BM_CopytoAsyncSchedule/" + std::to_string(bytes);
+    add(name, batch_s / kBatch, static_cast<double>(bytes));
+    report.add(name + " [inflight_peak]",
+               static_cast<double>(rig.dm.async_stats().inflight_peak),
+               "count", Better::kHigher);
   }
-}
-BENCHMARK(BM_ChannelOverlapModel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-}  // namespace
+  // Caller wall-clock per synchronous copyto: scales with transfer size (the
+  // caller performs the chunked memcpy itself).
+  for (const std::size_t bytes : sizes) {
+    Rig rig;
+    dm::Region* src = rig.dm.allocate(sim::kSlow, bytes);
+    dm::Region* dst = rig.dm.allocate(sim::kFast, bytes);
+    const std::size_t copies =
+        smoke ? 2 : std::max<std::size_t>(8, 256 * util::MiB / bytes);
+    add("BM_CopytoSyncCall/" + std::to_string(bytes),
+        time_per_op(reps, copies, [&] { rig.dm.copyto(*dst, *src); }),
+        static_cast<double>(bytes));
+  }
 
-int main(int argc, char** argv) {
-  return ca::bench::run_gbench_with_report(argc, argv, "async_mover");
+  // Modeled channel overlap: N same-direction transfers scheduled
+  // back-to-back finish in ceil(N / channels_per_direction) serial slots,
+  // not N.  The timed section is the scheduling loop on a fresh rig.
+  for (const std::size_t channels : {1, 2, 4, 8}) {
+    const std::size_t bytes = 2 * util::MiB;
+    double serial_slots = 0.0;
+    double fetch_channels = 0.0;
+    const double s = best_seconds(reps, [&] {
+      Rig rig(channels);
+      std::vector<dm::Region*> srcs;
+      std::vector<dm::Region*> dsts;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        srcs.push_back(rig.dm.allocate(sim::kSlow, bytes));
+        dsts.push_back(rig.dm.allocate(sim::kFast, bytes));
+      }
+      WallTimer wall;
+      double last_done = 0.0;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        last_done = rig.dm.copyto_async(*dsts[i], *srcs[i]);
+      }
+      const double elapsed = wall.seconds();
+      serial_slots = last_done / rig.dm.engine().modeled_copy_time(
+                                     bytes, sim::kSlow, sim::kFast, true);
+      fetch_channels = static_cast<double>(
+          rig.dm.engine().channels_for(sim::kSlow, sim::kFast));
+      rig.dm.drain_transfers();
+      return elapsed;
+    });
+    const std::string name =
+        "BM_ChannelOverlapModel/" + std::to_string(channels);
+    add(name, s, 0.0);
+    report.add(name + " [serial_slots]", serial_slots, "count",
+               Better::kLower);
+    report.add(name + " [fetch_channels]", fetch_channels, "count",
+               Better::kHigher);
+  }
+
+  report.print();
+  report.write(argc, argv);
+  return 0;
 }

@@ -60,11 +60,6 @@ double time_copy(Rig& rig, std::size_t bytes, int reps, bool non_temporal) {
   return wall.seconds();
 }
 
-double gibps(std::size_t bytes, int reps, double seconds) {
-  if (seconds <= 0.0) return 0.0;
-  return static_cast<double>(bytes) * reps / seconds /
-         (1024.0 * 1024.0 * 1024.0);
-}
 
 }  // namespace
 
@@ -98,11 +93,11 @@ int main(int argc, char** argv) {
       const std::string label = std::string("copy ") +
                                 simd::level_name(level) + " " +
                                 util::format_bytes(bytes);
-      std::printf("%-34s %12.4f %9.2f\n", label.c_str(), t,
-                  gibps(bytes, reps, t));
-      report.add(label, 0.0, t, bytes);
+      const double rate = gib_per_s(static_cast<double>(bytes) * reps, t);
+      std::printf("%-34s %12.4f %9.2f\n", label.c_str(), t, rate);
+      report.add(label, t, "s", Better::kLower);
       report.csv_row({label, util::format_fixed(t, 4),
-                      util::format_fixed(gibps(bytes, reps, t), 2)});
+                      util::format_fixed(rate, 2)});
     }
   }
   std::printf("\n");
@@ -124,9 +119,12 @@ int main(int argc, char** argv) {
               util::format_bytes(big).c_str(), nt_reps,
               simd::level_name(simd::active_level()), t_nt, t_tmp, wall_ratio,
               m_nt, m_tmp, modeled_ratio);
-  report.add_speedup("nt writeback vs temporal, wall", wall_ratio, big);
-  report.add("speedup: nt writeback vs temporal, modeled", m_tmp - m_nt,
-             modeled_ratio, big);
+  report.add("speedup: nt writeback vs temporal, wall", wall_ratio, "ratio",
+             Better::kHigher);
+  report.add("speedup: nt writeback vs temporal, modeled", modeled_ratio,
+             "ratio", Better::kHigher);
+  report.add("modeled s saved: nt writeback vs temporal", m_tmp - m_nt, "s",
+             Better::kHigher);
   report.csv_row({"nt vs temporal wall ratio",
                   util::format_fixed(wall_ratio, 2), ""});
   report.csv_row({"nt vs temporal modeled ratio",
@@ -141,11 +139,12 @@ int main(int argc, char** argv) {
     }
     t_fill = wall.seconds();
   }
+  const double fill_rate = gib_per_s(static_cast<double>(big) * reps, t_fill);
   std::printf("%-34s %12.4f %9.2f\n\n", "fill_zero (writeback)", t_fill,
-              gibps(big, reps, t_fill));
-  report.add("fill_zero writeback", 0.0, t_fill, big);
+              fill_rate);
+  report.add("fill_zero writeback", t_fill, "s", Better::kLower);
   report.csv_row({"fill_zero writeback", util::format_fixed(t_fill, 4),
-                  util::format_fixed(gibps(big, reps, t_fill), 2)});
+                  util::format_fixed(fill_rate, 2)});
 
   // --- telemetry ------------------------------------------------------------
   std::printf("%s\n", telemetry::format_simd_report(

@@ -206,8 +206,9 @@ int main(int argc, char** argv) {
     std::printf("%-26s %12.4f %12.4f %8.1fx %10.1f\n",
                 conv_label(d).c_str(), scalar.total(), fastt.total(), speedup,
                 delta.gemm_gflops());
-    report.add(conv_label(d) + " scalar", 0.0, scalar.total());
-    report.add(conv_label(d) + " fast", 0.0, fastt.total());
+    report.add(conv_label(d) + " scalar", scalar.total(), "s",
+               Better::kLower);
+    report.add(conv_label(d) + " fast", fastt.total(), "s", Better::kLower);
     report.csv_row({conv_label(d), util::format_fixed(scalar.total(), 4),
                     util::format_fixed(fastt.total(), 4),
                     util::format_fixed(speedup, 1)});
@@ -216,7 +217,8 @@ int main(int argc, char** argv) {
       conv_fast_total > 0.0 ? conv_scalar_total / conv_fast_total : 0.0;
   std::printf("%-26s %12.4f %12.4f %8.1fx\n\n", "all conv layers",
               conv_scalar_total, conv_fast_total, conv_speedup);
-  report.add_speedup("conv3x3 fwd+bwd, 8 threads vs scalar", conv_speedup);
+  report.add("speedup: conv3x3 fwd+bwd, 8 threads vs scalar", conv_speedup,
+             "ratio", Better::kHigher);
 
   // --- gemm: the im2col matrix shapes ---------------------------------------
   std::printf("%-26s %12s %12s %9s\n", "gemm m*n*k", "naive [s]", "fast [s]",
@@ -238,8 +240,8 @@ int main(int argc, char** argv) {
                               std::to_string(g.n) + "x" + std::to_string(g.k);
     std::printf("%-26s %12.4f %12.4f %8.1fx\n", label.c_str(), naive, fastt,
                 speedup);
-    report.add(label + " naive", 0.0, naive);
-    report.add(label + " fast", 0.0, fastt);
+    report.add(label + " naive", naive, "s", Better::kLower);
+    report.add(label + " fast", fastt, "s", Better::kLower);
     report.csv_row({label, util::format_fixed(naive, 4),
                     util::format_fixed(fastt, 4),
                     util::format_fixed(speedup, 1)});
@@ -272,7 +274,7 @@ int main(int argc, char** argv) {
                                 std::to_string(tile.mr) + "x" +
                                 std::to_string(tile.nr) + ")";
       std::printf("%-26s %12.4f %8.1fx\n", label.c_str(), t, vs);
-      report.add(label, 0.0, t);
+      report.add(label, t, "s", Better::kLower);
       report.csv_row({label, "", util::format_fixed(t, 4),
                       util::format_fixed(vs, 1)});
     }
@@ -280,8 +282,8 @@ int main(int argc, char** argv) {
     const double dispatch_speedup = best_s > 0.0 ? scalar_s / best_s : 0.0;
     std::printf("%-26s %12s %8.1fx\n\n", "dispatched vs 4x8 scalar", "",
                 dispatch_speedup);
-    report.add_speedup("dispatched gemm vs 4x8 scalar tile (CA_NATIVE=OFF)",
-                       dispatch_speedup);
+    report.add("speedup: dispatched gemm vs 4x8 scalar tile (CA_NATIVE=OFF)",
+               dispatch_speedup, "ratio", Better::kHigher);
   }
 
   // --- eltwise: stage-0 activation-sized buffers ----------------------------
@@ -292,8 +294,8 @@ int main(int argc, char** argv) {
   const std::string elt_label = "eltwise " + std::to_string(elt_n) + " floats";
   std::printf("%-26s %12.4f %12.4f %8.1fx\n\n", elt_label.c_str(), elt_scalar,
               elt_fast, elt_fast > 0.0 ? elt_scalar / elt_fast : 0.0);
-  report.add(elt_label + " scalar", 0.0, elt_scalar);
-  report.add(elt_label + " fast", 0.0, elt_fast);
+  report.add(elt_label + " scalar", elt_scalar, "s", Better::kLower);
+  report.add(elt_label + " fast", elt_fast, "s", Better::kLower);
   report.csv_row({elt_label, util::format_fixed(elt_scalar, 4),
                   util::format_fixed(elt_fast, 4),
                   util::format_fixed(
@@ -323,8 +325,8 @@ int main(int argc, char** argv) {
     std::printf("parallel_for rendezvous (%d rounds, n=%zu): "
                 "p50 %.2fus, p99 %.2fus wakeup tail\n\n",
                 rounds, buf.size(), p50 * 1e6, p99 * 1e6);
-    report.add_metric("parallel_for rendezvous p50 s", p50);
-    report.add_metric("parallel_for rendezvous p99 s", p99);
+    report.add("parallel_for rendezvous p50 s", p50, "s", Better::kLower);
+    report.add("parallel_for rendezvous p99 s", p99, "s", Better::kLower);
     report.csv_row({"parallel_for rendezvous p50/p99 us",
                     util::format_fixed(p50 * 1e6, 2),
                     util::format_fixed(p99 * 1e6, 2), ""});

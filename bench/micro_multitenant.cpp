@@ -400,10 +400,6 @@ StormResult run_storm(bool qos, std::size_t steps) {
   return result;
 }
 
-std::uint64_t phase_bytes(std::size_t total_steps) {
-  return static_cast<std::uint64_t>(total_steps) * 2 * kActBytes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -453,20 +449,21 @@ int main(int argc, char** argv) {
                 "%8.1f steps/wall-s  p99 %7.1fus\n",
                 label, r.sim_seconds, r.wall_seconds, thr_sim, thr_wall,
                 p99 * 1e6);
-    report.add(std::string("K=4 ") + label, r.sim_seconds, r.wall_seconds,
-               phase_bytes(r.total_steps));
-    report.add_metric(std::string("steps/sim-s: K=4 ") + label, thr_sim);
-    report.add_metric(std::string("steps/wall-s: K=4 ") + label, thr_wall);
-    report.add_metric(std::string("p99 step s: K=4 ") + label, p99);
+    const std::string k4 = std::string("K=4 ") + label;
+    report.add("sim s: " + k4, r.sim_seconds, "s", Better::kLower);
+    report.add("wall s: " + k4, r.wall_seconds, "s", Better::kLower);
+    report.add("steps/sim-s: " + k4, thr_sim, "steps/s", Better::kHigher);
+    report.add("steps/wall-s: " + k4, thr_wall, "steps/s", Better::kHigher);
+    report.add("p99 step s: " + k4, p99, "s", Better::kLower);
     report.csv_row({label, util::format_fixed(r.sim_seconds, 4),
                     util::format_fixed(r.wall_seconds, 3),
                     util::format_fixed(thr_sim, 1),
                     util::format_fixed(thr_wall, 1),
                     util::format_fixed(p99 * 1e6, 1)});
     for (std::size_t i = 0; i < r.stats.size(); ++i) {
-      report.add_metric("stall s: " + std::string(label) + ", trainer-" +
-                            std::to_string(i),
-                        r.stats[i].stall_seconds);
+      report.add("stall s: " + std::string(label) + ", trainer-" +
+                     std::to_string(i),
+                 r.stats[i].stall_seconds, "s", Better::kLower);
     }
     return thr_sim;
   };
@@ -476,9 +473,10 @@ int main(int argc, char** argv) {
   const double speedup = thr_big > 0.0 ? thr_fine / thr_big : 0.0;
   std::printf("\naggregate throughput, fine-grained vs big-lock: %.2fx\n\n",
               speedup);
-  report.add_speedup(
-      "K=4 aggregate trainer throughput, fine-grained vs big-lock serialized",
-      speedup);
+  report.add(
+      "speedup: K=4 aggregate trainer throughput, fine-grained vs big-lock "
+      "serialized",
+      speedup, "ratio", Better::kHigher);
 
   // --- Phase 2: eviction storm, QoS off vs on ------------------------------
   std::printf("eviction storm: %zu victim steps, aggressor ring %s%s\n",
@@ -503,25 +501,27 @@ int main(int argc, char** argv) {
                   storm.victim_spills[i]);
       const std::string tag =
           std::string("storm qos=") + mode + ", victim-" + std::to_string(i);
-      report.add_metric("p50 step s: " + tag, p50);
-      report.add_metric("p99 step s: " + tag, p99);
-      report.add_metric("p99 step wall s: " + tag, wall_p99);
-      report.add_metric("displacement spills: " + tag,
-                        static_cast<double>(storm.victim_spills[i]));
+      report.add("p50 step s: " + tag, p50, "s", Better::kLower);
+      report.add("p99 step s: " + tag, p99, "s", Better::kLower);
+      report.add("p99 step wall s: " + tag, wall_p99, "s", Better::kLower);
+      report.add("displacement spills: " + tag,
+                 static_cast<double>(storm.victim_spills[i]), "count",
+                 Better::kLower);
     }
     std::printf("  qos=%-3s aggressor: %llu allocations, %llu quota denials\n",
                 mode,
                 static_cast<unsigned long long>(storm.aggressor_allocs),
                 static_cast<unsigned long long>(storm.aggressor_denials));
-    report.add_metric(std::string("quota denials: storm qos=") + mode +
-                          ", aggressor",
-                      static_cast<double>(storm.aggressor_denials));
+    report.add(std::string("quota denials: storm qos=") + mode +
+                   ", aggressor",
+               static_cast<double>(storm.aggressor_denials), "count",
+               Better::kLower);
   }
   const double qos_gain =
       p99_on_worst > 0.0 ? p99_off_worst / p99_on_worst : 0.0;
   std::printf("\nworst victim p99, qos off vs on: %.2fx\n", qos_gain);
-  report.add_metric("qos p99 improvement: worst victim, storm off vs on",
-                    qos_gain);
+  report.add("qos p99 improvement: worst victim, storm off vs on", qos_gain,
+             "ratio", Better::kHigher);
 
   report.write(argc, argv, "micro_multitenant.csv");
 

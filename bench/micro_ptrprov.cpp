@@ -7,28 +7,27 @@
 //   BM_SpanAcquireRelease  the full pin -> resolve -> unpin accessor cycle
 //   BM_BracketedKernelLoop one span per "kernel", data() per element touch
 //
-// Each benchmark reports a `ptrprov_enabled` counter so the Debug/CA_RACE
-// numbers (registry probe per data() call) and the release numbers can be
-// compared run to run.
+// Each case is one BENCH_ptrprov.json row (best-of-reps host seconds per
+// operation), next to a `ptrprov_enabled` row so the Debug/CA_RACE numbers
+// (registry probe per data() call) and the release numbers can be compared
+// run to run.  `--smoke` runs every case with minimal counts.
 //
 // `--assert-noop` is the release-build gate: when the analyzer is compiled
 // out it measures the checked accessor against the raw-load baseline and
 // fails unless they are indistinguishable (the hooks must inline to
 // nothing).  In analyzer builds it is a no-op exit so the same ctest entry
 // runs everywhere.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
-#include <string_view>
+#include <string>
 
+#include "common.hpp"
 #include "dm/data_manager.hpp"
 #include "dm/pinned_span.hpp"
-#include "gbench_report.hpp"
 #include "ptrprov/ptrprov.hpp"
 #include "util/align.hpp"
 
 using namespace ca;
+using namespace ca::bench;
 
 namespace {
 
@@ -49,56 +48,6 @@ struct Rig {
   dm::Object* obj = nullptr;
 };
 
-void BM_RawPointerLoad(benchmark::State& state) {
-  Rig rig;
-  dm::PinnedSpan span = rig.dm.access(*rig.obj);
-  std::byte* p = span.data();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(*p);
-  }
-  state.counters["ptrprov_enabled"] = ptrprov::kEnabled ? 1 : 0;
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RawPointerLoad);
-
-void BM_PinnedSpanData(benchmark::State& state) {
-  Rig rig;
-  dm::PinnedSpan span = rig.dm.access(*rig.obj);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(*span.data());
-  }
-  state.counters["ptrprov_enabled"] = ptrprov::kEnabled ? 1 : 0;
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PinnedSpanData);
-
-void BM_SpanAcquireRelease(benchmark::State& state) {
-  Rig rig;
-  for (auto _ : state) {
-    dm::PinnedSpan span = rig.dm.access(*rig.obj);
-    benchmark::DoNotOptimize(span.data());
-  }
-  state.counters["ptrprov_enabled"] = ptrprov::kEnabled ? 1 : 0;
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpanAcquireRelease);
-
-void BM_BracketedKernelLoop(benchmark::State& state) {
-  // The shape kernels actually run: one accessor per kernel launch, one
-  // checked data() per element stride.
-  Rig rig;
-  const std::size_t touches = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    dm::PinnedSpan span = rig.dm.access(*rig.obj, /*write=*/true);
-    for (std::size_t i = 0; i < touches; ++i) {
-      benchmark::DoNotOptimize(span.data()[i * 64]);
-    }
-  }
-  state.counters["ptrprov_enabled"] = ptrprov::kEnabled ? 1 : 0;
-  state.SetItemsProcessed(state.iterations() * touches);
-}
-BENCHMARK(BM_BracketedKernelLoop)->Arg(16)->Arg(256);
-
 /// Release-build gate: with the analyzer compiled out, span.data() must
 /// cost the same as a bare pointer load.  Min-of-reps makes the measure
 /// robust to scheduling noise; the 4x bound is orders of magnitude below
@@ -115,23 +64,11 @@ int assert_noop() {
   std::byte* p = span.data();
   constexpr int kReps = 9;
   constexpr std::size_t kIters = 4'000'000;
-  auto time_loop = [&](auto&& body) {
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < kIters; ++i) body();
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best,
-                      std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-  };
-  const double raw = time_loop([&] { benchmark::DoNotOptimize(*p); });
+  const double raw = time_per_op(kReps, kIters, [&] { do_not_optimize(*p); });
   const double checked =
-      time_loop([&] { benchmark::DoNotOptimize(*span.data()); });
+      time_per_op(kReps, kIters, [&] { do_not_optimize(*span.data()); });
   std::printf("micro_ptrprov --assert-noop: raw=%.3fns/it checked=%.3fns/it "
-              "ratio=%.2f\n", raw / kIters * 1e9, checked / kIters * 1e9,
-              checked / raw);
+              "ratio=%.2f\n", raw * 1e9, checked * 1e9, checked / raw);
   if (checked > raw * 4.0) {
     std::fprintf(stderr,
                  "micro_ptrprov --assert-noop: FAILED — disabled-analyzer "
@@ -147,8 +84,46 @@ int assert_noop() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--assert-noop") return assert_noop();
+  if (has_flag(argc, argv, "--assert-noop")) return assert_noop();
+  const bool smoke = has_flag(argc, argv, "--smoke");
+  const int reps = smoke ? 1 : 5;
+  const std::size_t iters = smoke ? 1000 : 10'000'000;
+  BenchReport report("ptrprov");
+  const auto add = [&](const std::string& name, double seconds) {
+    report.add(name, seconds, "s", Better::kLower);
+  };
+  Rig rig;
+  {
+    dm::PinnedSpan span = rig.dm.access(*rig.obj);
+    std::byte* p = span.data();
+    add("BM_RawPointerLoad",
+        time_per_op(reps, iters, [&] { do_not_optimize(*p); }));
+    add("BM_PinnedSpanData",
+        time_per_op(reps, iters, [&] { do_not_optimize(*span.data()); }));
   }
-  return ca::bench::run_gbench_with_report(argc, argv, "ptrprov");
+  add("BM_SpanAcquireRelease", time_per_op(reps, iters / 10, [&] {
+        dm::PinnedSpan span = rig.dm.access(*rig.obj);
+        do_not_optimize(span.data());
+      }));
+  // The shape kernels actually run: one accessor per kernel launch, one
+  // checked data() per element stride.
+  for (const std::size_t touches : {16, 256}) {
+    const double s = time_per_op(reps, iters / touches, [&] {
+      dm::PinnedSpan span = rig.dm.access(*rig.obj, /*write=*/true);
+      for (std::size_t i = 0; i < touches; ++i) {
+        do_not_optimize(span.data()[i * 64]);
+      }
+    });
+    const std::string name =
+        "BM_BracketedKernelLoop/" + std::to_string(touches);
+    add(name, s);
+    report.add(name + " [touches/s]", static_cast<double>(touches) / s,
+               "touches/s", Better::kHigher);
+  }
+  report.add("ptrprov_enabled", ptrprov::kEnabled ? 1.0 : 0.0, "bool",
+             Better::kLower);
+
+  report.print();
+  report.write(argc, argv);
+  return 0;
 }

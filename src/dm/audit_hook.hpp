@@ -3,10 +3,10 @@
 // (ca_audit links ca_dm, so ca_dm cannot call ca::audit::verify directly).
 //
 // The data manager invokes CA_AUDIT(*this) at the end of every mutating
-// operation.  When CA_AUDIT_ENABLED is defined (Debug builds, or any build
-// configured with -DCA_AUDIT=ON) the macro forwards to an installed hook --
-// typically ca::audit::ScopedAbortHook, which runs the full invariant audit
-// and aborts with a report on the first violation.  When the macro is
+// operation.  When CA_AUDIT_ENABLED is defined (Debug builds) the macro
+// forwards to an installed hook -- typically ca::audit::ScopedAbortHook,
+// which runs the full invariant audit and aborts with a report on the first
+// violation.  When the macro is
 // compiled out, or no hook is installed, the cost is zero / one relaxed
 // atomic load respectively.
 #pragma once

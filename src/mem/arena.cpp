@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <new>
@@ -50,20 +49,18 @@ void detail::touch_pages(std::byte* base, std::size_t bytes) noexcept {
   }
 }
 
-Arena::Arena(std::size_t size, std::size_t alignment) {
+Arena::Arena(std::size_t size) {
   CA_CHECK(size > 0, "arena size must be positive");
-  CA_CHECK(util::is_pow2(alignment), "arena alignment must be a power of 2");
   const std::size_t page = page_size();
-  const std::size_t align = std::max(alignment, kHugePage);
   const std::size_t rounded = util::align_up(size, page);
-  // mmap returns page-aligned addresses, so `align - page` bytes of slack
-  // always contain an `align` boundary with `rounded` bytes after it.
-  const std::size_t reserve = rounded + align - page;
+  // mmap returns page-aligned addresses, so `kHugePage - page` bytes of
+  // slack always contain a huge-page boundary with `rounded` bytes after it.
+  const std::size_t reserve = rounded + kHugePage - page;
   void* raw = ::mmap(nullptr, reserve, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (raw == MAP_FAILED) throw std::bad_alloc();
   const auto raw_addr = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t addr = util::align_up(raw_addr, align);
+  const std::uintptr_t addr = util::align_up(raw_addr, kHugePage);
   const std::size_t head = addr - raw_addr;
   const std::size_t tail = reserve - head - rounded;
   if (head > 0) ::munmap(raw, head);

@@ -7,10 +7,9 @@
 // allocators).
 //
 // Each arena is one anonymous private mmap:
-//   * The mapping starts on a 2 MiB boundary (or the requested alignment,
-//     if larger).  We over-reserve by the alignment and unmap the head and
-//     tail slack at once, so what stays mapped is exactly the arena rounded
-//     up to whole pages.
+//   * The mapping starts on a 2 MiB (huge-page) boundary.  We over-reserve
+//     by 2 MiB and unmap the head and tail slack at once, so what stays
+//     mapped is exactly the arena rounded up to whole pages.
 //   * madvise(MADV_HUGEPAGE) asks for transparent huge pages.  With THP in
 //     `madvise` or `always` mode the arena is backed by 2 MiB pages; with THP
 //     off the call is a harmless no-op.
@@ -40,9 +39,9 @@ void touch_pages(std::byte* base, std::size_t bytes) noexcept;
 
 class Arena {
  public:
-  /// Maps and pre-faults `size` zeroed bytes aligned to `alignment`.
+  /// Maps and pre-faults `size` zeroed bytes on a 2 MiB boundary.
   /// Throws std::bad_alloc on failure.
-  explicit Arena(std::size_t size, std::size_t alignment = 4096);
+  explicit Arena(std::size_t size);
   ~Arena();
 
   /// Moves leave the source empty: base() == nullptr, size() == 0, and

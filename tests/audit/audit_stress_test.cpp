@@ -483,9 +483,9 @@ class StressHarness {
 
 // The acceptance run: >= 5000 steps, audited after every one.  The CA_AUDIT
 // hook is installed for the whole run so that, in builds compiled with
-// CA_AUDIT_ENABLED (Debug / -DCA_AUDIT=ON), every *internal* mutation
-// boundary -- including the intermediate states inside evictfrom -- is
-// audited too, with abort-on-violation.
+// CA_AUDIT_ENABLED (Debug), every *internal* mutation boundary --
+// including the intermediate states inside evictfrom -- is audited too,
+// with abort-on-violation.
 TEST(AuditStress, FiveThousandSeededStepsStayInvariantClean) {
   audit::ScopedAbortHook hook;
   StressHarness h(/*seed=*/0xCA11AB1E5EEDULL, 2 * util::MiB, 8 * util::MiB);

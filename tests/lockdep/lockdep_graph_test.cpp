@@ -18,8 +18,8 @@
 #if !defined(CA_LOCKDEP_ENABLED)
 
 TEST(LockdepGraph, InstrumentationRequired) {
-  GTEST_SKIP() << "lockdep not compiled in; configure with -DCA_LOCKDEP=ON "
-                  "(or a Debug / CA_RACE build) to run the graph tests";
+  GTEST_SKIP() << "lockdep not compiled in; use a Debug or -DCA_RACE=ON "
+                  "build to run the graph tests";
 }
 
 #else  // CA_LOCKDEP_ENABLED

@@ -5,15 +5,15 @@
 //
 // These run against raw ca::sync::mutex instances with test-local lock
 // classes -- no DataManager -- so each detector is exercised in isolation.
-// Requires a CA_LOCKDEP_ENABLED build (Debug, CA_RACE, or -DCA_LOCKDEP=ON);
-// self-skips elsewhere.
+// Requires a CA_LOCKDEP_ENABLED build (Debug or -DCA_RACE=ON); self-skips
+// elsewhere.
 #include <gtest/gtest.h>
 
 #if !defined(CA_LOCKDEP_ENABLED)
 
 TEST(LockdepRuntime, InstrumentationRequired) {
-  GTEST_SKIP() << "lockdep not compiled in; configure with -DCA_LOCKDEP=ON "
-                  "(or a Debug / CA_RACE build) to run the runtime tests";
+  GTEST_SKIP() << "lockdep not compiled in; use a Debug or -DCA_RACE=ON "
+                  "build to run the runtime tests";
 }
 
 #else  // CA_LOCKDEP_ENABLED

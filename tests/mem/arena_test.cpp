@@ -74,21 +74,6 @@ TEST(Arena, WriteReadRoundTrip) {
 
 TEST(Arena, ZeroSizeThrows) { EXPECT_THROW(Arena a(0), InternalError); }
 
-TEST(Arena, CustomAlignment) {
-  Arena a(64 * util::KiB, 1 << 16);
-  EXPECT_TRUE(util::is_aligned(a.base(), 1 << 16));
-}
-
-TEST(Arena, AlignmentAboveHugePageHonoured) {
-  for (const std::size_t size : {64 * util::KiB, 5 * util::MiB}) {
-    Arena a(size, 4 * util::MiB);
-    EXPECT_TRUE(util::is_aligned(a.base(), 4 * util::MiB));
-    EXPECT_EQ(a.size(), size);
-    EXPECT_EQ(resident_pages(a.base(), a.size()),
-              util::ceil_div(size, page_bytes()));
-  }
-}
-
 TEST(Arena, EveryPageResidentAfterConstruction) {
   Arena a(3 * util::MiB + 4 * util::KiB);
   EXPECT_EQ(resident_pages(a.base(), a.size()),

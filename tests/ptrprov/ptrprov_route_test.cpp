@@ -14,9 +14,8 @@
 #if !defined(CA_PTRPROV_ENABLED)
 
 TEST(PtrprovRoutes, InstrumentationRequired) {
-  GTEST_SKIP() << "CA_PTRPROV_ENABLED not compiled in; configure with "
-                  "-DCA_PTRPROV=ON (or Debug / -DCA_RACE=ON) to run the "
-                  "provenance route tests";
+  GTEST_SKIP() << "CA_PTRPROV_ENABLED not compiled in; use a Debug or "
+                  "-DCA_RACE=ON build to run the provenance route tests";
 }
 
 #else  // CA_PTRPROV_ENABLED

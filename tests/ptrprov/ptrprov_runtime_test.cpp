@@ -1,8 +1,8 @@
 // Unit tests of the ca::ptrprov runtime half: the region-generation
 // mirror, the PinnedSpan acquire/access/release lifecycle, and each of the
 // four report kinds, driven through the real DataManager (no mocked
-// registry).  Needs any CA_PTRPROV_ENABLED build (Debug, CA_RACE or
-// -DCA_PTRPROV=ON); self-skips elsewhere.
+// registry).  Needs a CA_PTRPROV_ENABLED build (Debug or -DCA_RACE=ON);
+// self-skips elsewhere.
 #include <gtest/gtest.h>
 
 #include "ptrprov/ptrprov.hpp"
@@ -10,9 +10,8 @@
 #if !defined(CA_PTRPROV_ENABLED)
 
 TEST(PtrprovRuntime, InstrumentationRequired) {
-  GTEST_SKIP() << "CA_PTRPROV_ENABLED not compiled in; configure with "
-                  "-DCA_PTRPROV=ON (or Debug / -DCA_RACE=ON) to run the "
-                  "provenance runtime tests";
+  GTEST_SKIP() << "CA_PTRPROV_ENABLED not compiled in; use a Debug or "
+                  "-DCA_RACE=ON build to run the provenance runtime tests";
 }
 
 #else  // CA_PTRPROV_ENABLED
