@@ -50,7 +50,12 @@ Outcome run(const ModelSpec& spec, std::size_t dram_mib, std::size_t nvram_mib,
   auto model = dnn::build_model(h.engine(), spec);
   dnn::Trainer t(h, *model);
   Outcome out;
-  for (int i = 0; i < iterations; ++i) out.steady = t.run_iteration();
+  for (int i = 0; i < iterations; ++i) {
+    out.steady = t.run_iteration();
+    require_nvram_headroom(out.steady, hc.nvram_bytes,
+                           spec.name + " at " + std::to_string(dram_mib) +
+                               " MiB DRAM");
+  }
   out.wall_seconds = wall.seconds();
   return out;
 }
@@ -81,7 +86,9 @@ int main(int argc, char** argv) {
     const ModelSpec spec =
         smoke ? ModelSpec::vgg_tiny() : ModelSpec::vgg416_large();
     const std::size_t dram = smoke ? 8 : 180;
-    const std::size_t nvram = smoke ? 96 : 1300;
+    // VGG-416 keeps ~580 MiB resident at most; 768 MiB holds it with the
+    // headroom run() checks, in place of the paper's 1300 MiB.
+    const std::size_t nvram = smoke ? 96 : 768;
     const int iters = smoke ? 1 : 2;
     std::printf("--- %s (large-model shape%s) ---\n", spec.name.c_str(),
                 smoke ? ", smoke" : "");
@@ -133,7 +140,8 @@ int main(int argc, char** argv) {
          "overlap recovered"}};
     const auto drams = smoke ? std::vector<std::size_t>{24}
                              : std::vector<std::size_t>{36, 72, 144};
-    const std::size_t nvram = smoke ? 96 : 1300;
+    // The small networks keep at most ~210 MiB resident.
+    const std::size_t nvram = smoke ? 96 : 320;
     const int iters = smoke ? 1 : 2;
     for (const std::size_t dram : drams) {
       const Outcome sync = run(spec, dram, nvram, false, 4, iters);

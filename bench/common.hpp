@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "dnn/models.hpp"
 #include "dnn/trainer.hpp"
 #include "simd/isa.hpp"
@@ -120,6 +122,23 @@ inline void maybe_write_csv(int argc, char** argv, const char* name,
   }
 }
 
+/// Exits 1, naming `what`, unless iteration `m` kept at most the runtime's
+/// GC trigger fraction of `nvram` bytes resident.  Benches that give the
+/// NVRAM tier less than the paper's 1300 MiB (fewer pages for the kernel to
+/// zero) call it after every iteration: when it holds, the tier fits every
+/// resident byte and the capacity-based GC trigger never fires, so the
+/// smaller tier leaves every simulated number unchanged.
+inline void require_nvram_headroom(const IterationMetrics& m,
+                                   std::size_t nvram, const std::string& what) {
+  const double limit =
+      core::RuntimeOptions{}.gc_trigger_fraction * static_cast<double>(nvram);
+  if (static_cast<double>(m.peak_resident_bytes) <= limit) return;
+  std::fprintf(stderr, "%s: %zu bytes resident, more than %.0f of the "
+               "%zu-byte NVRAM tier may hold; give the bench a larger tier\n",
+               what.c_str(), m.peak_resident_bytes, limit, nvram);
+  std::exit(1);
+}
+
 inline std::string mib(std::uint64_t bytes) {
   return util::format_fixed(static_cast<double>(bytes) / (1024.0 * 1024.0),
                             0);
@@ -212,9 +231,11 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// Nearest-rank percentile of `samples` (p in [0, 1]); sorts in place.
-/// Every bench reporting a latency tail uses this one definition so p99
-/// means the same thing in every BENCH_*.json.
+/// Percentile of `samples` (p in [0, 1]) without interpolation: the sorted
+/// sample at index floor(p * (n - 1)), so p99 of 10 samples is the 9th
+/// smallest, not the maximum; 0 for no samples.  Sorts in place.  Every
+/// bench reporting a latency tail uses this one definition so p99 means
+/// the same thing in every BENCH_*.json.
 inline double percentile(std::vector<double>& samples, double p) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
@@ -223,9 +244,8 @@ inline double percentile(std::vector<double>& samples, double p) {
   return samples[idx];
 }
 
-/// Accumulates one bench's machine-readable output -- the BENCH_<name>.json
-/// rows and the mirrored CSV table -- behind a single interface, so every
-/// bench shares one emitter.  Acceptance rows are named "speedup: <what>"
+/// Accumulates one bench's BENCH_<name>.json rows, so every bench shares
+/// one emitter.  Acceptance rows are named "speedup: <what>"
 /// (unit "ratio", higher is better), so CI greps one name shape across
 /// every bench.
 class BenchReport {
@@ -236,14 +256,6 @@ class BenchReport {
            Better better) {
     records_.push_back(
         {std::move(metric), value, std::move(unit), better});
-  }
-
-  void csv_header(std::vector<std::string> columns) {
-    table_.insert(table_.begin(), std::move(columns));
-  }
-
-  void csv_row(std::vector<std::string> columns) {
-    table_.push_back(std::move(columns));
   }
 
   /// Prints every row as "name  value unit" (the microbenches' console
@@ -257,14 +269,9 @@ class BenchReport {
 
   /// Emits BENCH_<name>.json -- BENCH_<name>.smoke.json under --smoke, so
   /// a smoke run never overwrites a full-run file -- into the output
-  /// directory (default "."), and <csv_name> via maybe_write_csv when one
-  /// was given and rows were added.  Returns the JSON path, or "" when it
-  /// could not be written.
-  std::string write(int argc, char** argv,
-                    const char* csv_name = nullptr) const {
-    if (csv_name != nullptr && !table_.empty()) {
-      maybe_write_csv(argc, argv, csv_name, table_);
-    }
+  /// directory (default ".").  Returns the JSON path, or "" when it could
+  /// not be written.
+  std::string write(int argc, char** argv) const {
     const bool smoke = has_flag(argc, argv, "--smoke");
     const char* dir = output_dir(argc, argv);
     const std::string path = std::string(dir != nullptr ? dir : ".") +
@@ -302,7 +309,6 @@ class BenchReport {
  private:
   std::string name_;
   std::vector<BenchRecord> records_;
-  std::vector<std::vector<std::string>> table_;
 };
 
 }  // namespace ca::bench

@@ -25,6 +25,10 @@ int main(int argc, char** argv) {
                                          ModelSpec::resnet200_small(),
                                          ModelSpec::vgg116_small()};
   const std::vector<std::size_t> budgets_mib = {0, 18, 36, 72, 108, 144, 180};
+  // No cell keeps more than ~210 MiB resident, so a 320 MiB NVRAM tier in
+  // place of the paper's 1300 MiB holds everything (checked per iteration)
+  // and spares the kernel zeroing the rest.
+  const std::size_t nvram = 320 * util::MiB;
 
   for (const auto& spec : models) {
     std::printf("--- %s (small) ---\n", spec.name.c_str());
@@ -38,7 +42,14 @@ int main(int argc, char** argv) {
       cfg.spec = spec;
       cfg.mode = budget == 0 ? Mode::kNvramOnly : Mode::kCaLM;
       cfg.dram = budget * util::MiB;
-      const auto m = run_training(cfg).steady();
+      cfg.nvram = nvram;
+      const RunResult run = run_training(cfg);
+      for (const auto& it : run.iterations) {
+        require_nvram_headroom(it, nvram, spec.name + " at " +
+                                              std::to_string(budget) +
+                                              " MiB DRAM");
+      }
+      const IterationMetrics& m = run.steady();
       rows.push_back({std::to_string(budget),
                       util::format_fixed(m.seconds, 1) + "s",
                       util::format_fixed(m.seconds - m.movement_seconds, 1) +

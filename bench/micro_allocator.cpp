@@ -290,8 +290,6 @@ void run_trace(BenchReport& report, bool smoke) {
   std::printf("%-10s %-16s %12s %12s %10s\n", "fit", "allocator", "ops/sec",
               "p99 alloc", "speedup");
 
-  report.csv_header({"fit", "allocator", "ops_per_sec", "p99_alloc_us",
-                     "total_seconds"});
   double firstfit_speedup = 0.0;
   for (const auto fit : {FreeListAllocator::Fit::kFirstFit,
                          FreeListAllocator::Fit::kBestFit}) {
@@ -321,10 +319,6 @@ void run_trace(BenchReport& report, bool smoke) {
                  Better::kHigher);
       report.add("p99 alloc s: " + label, r.p99_alloc_seconds, "s",
                  Better::kLower);
-      report.csv_row({fit_name(fit), side,
-                      util::format_fixed(r.ops_per_sec(), 0),
-                      util::format_fixed(r.p99_alloc_seconds * 1e6, 3),
-                      util::format_fixed(r.total_seconds, 6)});
     }
     report.add(std::string("speedup: DNN trace alloc/free, ") +
                    fit_name(fit) + " old vs new",
@@ -352,6 +346,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   run_trace(report, smoke);
-  report.write(argc, argv, "allocator_trace.csv");
+  report.write(argc, argv);
   return 0;
 }

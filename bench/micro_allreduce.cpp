@@ -118,10 +118,6 @@ ModeResult run_mode(const dp::TrainerConfig& cfg, int warmup, int iters) {
 int main(int argc, char** argv) {
   const bool smoke = has_flag(argc, argv, "--smoke");
   BenchReport report("allreduce");
-  report.csv_header({"config", "step_sim_s", "samples_per_sim_s",
-                     "comm_busy_s", "comm_exposed_s", "comm_overlapped_s",
-                     "buckets", "wire_bytes", "wall_s"});
-
   const dnn::ModelSpec spec = dp_model(smoke);
   const std::vector<std::size_t> worker_counts =
       smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{2, 4, 8};
@@ -175,14 +171,10 @@ int main(int argc, char** argv) {
                  Better::kLower);
       report.add("comm overlapped s: " + label, r.m.comm_overlapped_seconds,
                  "s", Better::kHigher);
-      report.csv_row({label, util::format_fixed(r.m.step_seconds, 4),
-                      util::format_fixed(r.m.samples_per_second, 1),
-                      util::format_fixed(r.m.comm_busy_seconds, 4),
-                      util::format_fixed(r.m.comm_exposed_seconds, 4),
-                      util::format_fixed(r.m.comm_overlapped_seconds, 4),
-                      std::to_string(r.m.buckets),
-                      std::to_string(r.wire_bytes),
-                      util::format_fixed(r.wall_seconds, 3)});
+      report.add("comm busy s: " + label, r.m.comm_busy_seconds, "s",
+                 Better::kLower);
+      report.add("buckets: " + label, static_cast<double>(r.m.buckets),
+                 "count", Better::kLower);
     }
     const double thr_gain =
         res[0].m.samples_per_second > 0.0
@@ -233,6 +225,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  report.write(argc, argv, "micro_allreduce.csv");
+  report.write(argc, argv);
   return 0;
 }

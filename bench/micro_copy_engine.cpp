@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
       smoke ? "  [smoke sizes]" : "");
 
   BenchReport report("copy_engine");
-  report.csv_header({"label", "seconds", "GiB/s"});
 
   // --- per-level writeback copy sweep ---------------------------------------
   const std::size_t sizes[] = {64 * util::KiB, 1 * util::MiB, big};
@@ -96,8 +95,7 @@ int main(int argc, char** argv) {
       const double rate = gib_per_s(static_cast<double>(bytes) * reps, t);
       std::printf("%-34s %12.4f %9.2f\n", label.c_str(), t, rate);
       report.add(label, t, "s", Better::kLower);
-      report.csv_row({label, util::format_fixed(t, 4),
-                      util::format_fixed(rate, 2)});
+      report.add("GiB/s: " + label, rate, "GiB/s", Better::kHigher);
     }
   }
   std::printf("\n");
@@ -125,10 +123,6 @@ int main(int argc, char** argv) {
              "ratio", Better::kHigher);
   report.add("modeled s saved: nt writeback vs temporal", m_tmp - m_nt, "s",
              Better::kHigher);
-  report.csv_row({"nt vs temporal wall ratio",
-                  util::format_fixed(wall_ratio, 2), ""});
-  report.csv_row({"nt vs temporal modeled ratio",
-                  util::format_fixed(modeled_ratio, 2), ""});
 
   // --- fill_zero (always writeback-hinted) ----------------------------------
   double t_fill = 0.0;
@@ -143,8 +137,8 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.4f %9.2f\n\n", "fill_zero (writeback)", t_fill,
               fill_rate);
   report.add("fill_zero writeback", t_fill, "s", Better::kLower);
-  report.csv_row({"fill_zero writeback", util::format_fixed(t_fill, 4),
-                  util::format_fixed(fill_rate, 2)});
+  report.add("GiB/s: fill_zero writeback", fill_rate, "GiB/s",
+             Better::kHigher);
 
   // --- telemetry ------------------------------------------------------------
   std::printf("%s\n", telemetry::format_simd_report(
@@ -159,6 +153,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rig.engine.stats().nt_bytes));
 
   simd::set_level(entry);
-  report.write(argc, argv, "micro_copy_engine.csv");
+  report.write(argc, argv);
   return 0;
 }

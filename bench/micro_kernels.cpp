@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
       kThreads, reps, smoke ? "  [smoke shapes]" : "");
 
   BenchReport report("kernels");
-  report.csv_header({"kernel", "scalar_s", "fast_s", "speedup"});
 
   // --- conv: the headline numbers -------------------------------------------
   double conv_scalar_total = 0.0, conv_fast_total = 0.0;
@@ -209,9 +208,6 @@ int main(int argc, char** argv) {
     report.add(conv_label(d) + " scalar", scalar.total(), "s",
                Better::kLower);
     report.add(conv_label(d) + " fast", fastt.total(), "s", Better::kLower);
-    report.csv_row({conv_label(d), util::format_fixed(scalar.total(), 4),
-                    util::format_fixed(fastt.total(), 4),
-                    util::format_fixed(speedup, 1)});
   }
   const double conv_speedup =
       conv_fast_total > 0.0 ? conv_scalar_total / conv_fast_total : 0.0;
@@ -242,9 +238,6 @@ int main(int argc, char** argv) {
                 speedup);
     report.add(label + " naive", naive, "s", Better::kLower);
     report.add(label + " fast", fastt, "s", Better::kLower);
-    report.csv_row({label, util::format_fixed(naive, 4),
-                    util::format_fixed(fastt, 4),
-                    util::format_fixed(speedup, 1)});
   }
   std::printf("\n");
 
@@ -275,8 +268,6 @@ int main(int argc, char** argv) {
                                 std::to_string(tile.nr) + ")";
       std::printf("%-26s %12.4f %8.1fx\n", label.c_str(), t, vs);
       report.add(label, t, "s", Better::kLower);
-      report.csv_row({label, "", util::format_fixed(t, 4),
-                      util::format_fixed(vs, 1)});
     }
     simd::set_level(entry);
     const double dispatch_speedup = best_s > 0.0 ? scalar_s / best_s : 0.0;
@@ -296,10 +287,6 @@ int main(int argc, char** argv) {
               elt_fast, elt_fast > 0.0 ? elt_scalar / elt_fast : 0.0);
   report.add(elt_label + " scalar", elt_scalar, "s", Better::kLower);
   report.add(elt_label + " fast", elt_fast, "s", Better::kLower);
-  report.csv_row({elt_label, util::format_fixed(elt_scalar, 4),
-                  util::format_fixed(elt_fast, 4),
-                  util::format_fixed(
-                      elt_fast > 0.0 ? elt_scalar / elt_fast : 0.0, 1)});
 
   // --- parallel_for rendezvous: the latch wakeup tail -----------------------
   // Each round is one tiny fan-out/fan-in through the pool: the cost is
@@ -327,9 +314,6 @@ int main(int argc, char** argv) {
                 rounds, buf.size(), p50 * 1e6, p99 * 1e6);
     report.add("parallel_for rendezvous p50 s", p50, "s", Better::kLower);
     report.add("parallel_for rendezvous p99 s", p99, "s", Better::kLower);
-    report.csv_row({"parallel_for rendezvous p50/p99 us",
-                    util::format_fixed(p50 * 1e6, 2),
-                    util::format_fixed(p99 * 1e6, 2), ""});
   }
 
   std::printf("Totals: %zu gemm calls, %.1f achieved GFLOP/s, "
@@ -348,6 +332,6 @@ int main(int argc, char** argv) {
                 conv_speedup);
   }
 
-  report.write(argc, argv, "micro_kernels.csv");
+  report.write(argc, argv);
   return 0;
 }

@@ -420,9 +420,6 @@ int main(int argc, char** argv) {
       smoke ? "  [smoke counts]" : "");
 
   BenchReport report("multitenant");
-  report.csv_header({"config", "sim_s", "wall_s", "steps_per_sim_s",
-                     "steps_per_wall_s", "p99_step_us"});
-
   // --- Phase 1: aggregate throughput, big-lock vs fine-grained -------------
   const auto run_config = [&](const char* label, bool fine) {
     Rig rig(platform);
@@ -455,11 +452,6 @@ int main(int argc, char** argv) {
     report.add("steps/sim-s: " + k4, thr_sim, "steps/s", Better::kHigher);
     report.add("steps/wall-s: " + k4, thr_wall, "steps/s", Better::kHigher);
     report.add("p99 step s: " + k4, p99, "s", Better::kLower);
-    report.csv_row({label, util::format_fixed(r.sim_seconds, 4),
-                    util::format_fixed(r.wall_seconds, 3),
-                    util::format_fixed(thr_sim, 1),
-                    util::format_fixed(thr_wall, 1),
-                    util::format_fixed(p99 * 1e6, 1)});
     for (std::size_t i = 0; i < r.stats.size(); ++i) {
       report.add("stall s: " + std::string(label) + ", trainer-" +
                      std::to_string(i),
@@ -523,7 +515,7 @@ int main(int argc, char** argv) {
   report.add("qos p99 improvement: worst victim, storm off vs on", qos_gain,
              "ratio", Better::kHigher);
 
-  report.write(argc, argv, "micro_multitenant.csv");
+  report.write(argc, argv);
 
   if (!smoke && speedup < 2.0) {
     std::printf(

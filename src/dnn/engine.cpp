@@ -65,8 +65,7 @@ void Engine::fill_labels(Tensor& t, std::size_t classes, std::uint64_t seed) {
 
 // --- kernel launch ---------------------------------------------------------
 
-void Engine::execute_args(const std::string& name,
-                          const std::vector<KernelArg>& args, double flops,
+void Engine::execute_args(const std::vector<KernelArg>& args, double flops,
                           double efficiency, const RealFn& real_fn) {
   std::vector<dm::Object*> objs;
   objs.reserve(args.size());
@@ -117,7 +116,6 @@ void Engine::execute_args(const std::string& name,
   stats_.compute_seconds += comp_s;
   stats_.memory_seconds += mem_s;
   stats_.kernel_seconds += std::max(mem_s, comp_s);
-  stats_.op_histogram.record(name, std::max(mem_s, comp_s));
 
   // Resolve the indirection once per argument through the provenance-
   // tracked accessor; writes mark the primary dirty in both backends.
@@ -144,8 +142,7 @@ void Engine::execute_args(const std::string& name,
   if (kernel_hook_) kernel_hook_();
 }
 
-void Engine::execute(const std::string& name,
-                     const std::vector<Tensor>& reads,
+void Engine::execute(const std::vector<Tensor>& reads,
                      const std::vector<Tensor>& writes, double flops,
                      double efficiency, const RealFn& real_fn,
                      int read_passes) {
@@ -157,7 +154,7 @@ void Engine::execute(const std::string& name,
   for (const auto& t : writes) {
     args.push_back({t, /*write=*/true, 0, 1, /*partial=*/false});
   }
-  execute_args(name, args, flops, efficiency, real_fn);
+  execute_args(args, flops, efficiency, real_fn);
 }
 
 void Engine::record(TapeEntry entry) {
@@ -193,7 +190,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
   d.pad = pad;
 
   Tensor y = tensor({d.n, d.cout, d.hout(), d.wout()}, "conv.y");
-  execute("conv2d", {x, w, b}, {y}, d.flops(), config_.compute_efficiency,
+  execute({x, w, b}, {y}, d.flops(), config_.compute_efficiency,
           [d](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& wr) {
@@ -209,7 +206,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
       -> std::vector<Tensor> {
     const Tensor& gy = gout[0];
     Tensor gx = eng.tensor(x.shape(), "conv.gx");
-    eng.execute("conv2d_bwd_data", {w, gy}, {gx}, d.flops(),
+    eng.execute({w, gy}, {gx}, d.flops(),
                 eng.config_.compute_efficiency,
                 [d](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -218,7 +215,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
                 },
                 eng.config().conv_read_passes);
     Tensor gw = eng.tensor(w.shape(), "conv.gw");
-    eng.execute("conv2d_bwd_weights", {x, gy}, {gw}, d.flops(),
+    eng.execute({x, gy}, {gw}, d.flops(),
                 eng.config_.compute_efficiency,
                 [d](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -227,7 +224,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
                 },
                 eng.config().conv_read_passes);
     Tensor gb = eng.tensor(b.shape(), "conv.gb");
-    eng.execute("conv2d_bwd_bias", {gy}, {gb},
+    eng.execute({gy}, {gb},
                 static_cast<double>(gy.numel()), kEltwiseEfficiency,
                 [d](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -243,7 +240,7 @@ Tensor Engine::conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
 Tensor Engine::relu(const Tensor& x) {
   Tensor y = tensor(x.shape(), "relu.y");
   const auto n = x.numel();
-  execute("relu", {x}, {y}, static_cast<double>(n), kEltwiseEfficiency,
+  execute({x}, {y}, static_cast<double>(n), kEltwiseEfficiency,
           [n](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& w) {
@@ -256,7 +253,7 @@ Tensor Engine::relu(const Tensor& x) {
   e.backward = [x, n](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "relu.gx");
-    eng.execute("relu_bwd", {x, gout[0]}, {gx}, static_cast<double>(n),
+    eng.execute({x, gout[0]}, {gx}, static_cast<double>(n),
                 kEltwiseEfficiency,
                 [n](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -275,7 +272,7 @@ Tensor Engine::maxpool2(const Tensor& x) {
            "maxpool2 expects even NCHW spatial dims");
   Tensor y = tensor({s.n(), s.c(), s.h() / 2, s.w() / 2}, "pool.y");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("maxpool2", {x}, {y}, static_cast<double>(x.numel()),
+  execute({x}, {y}, static_cast<double>(x.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -289,7 +286,7 @@ Tensor Engine::maxpool2(const Tensor& x) {
   e.backward = [x, n, c, h, w](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "pool.gx");
-    eng.execute("maxpool2_bwd", {x, gout[0]}, {gx},
+    eng.execute({x, gout[0]}, {gx},
                 static_cast<double>(x.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -308,7 +305,7 @@ Tensor Engine::avgpool2(const Tensor& x) {
            "avgpool2 expects even NCHW spatial dims");
   Tensor y = tensor({s.n(), s.c(), s.h() / 2, s.w() / 2}, "apool.y");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("avgpool2", {x}, {y}, static_cast<double>(x.numel()),
+  execute({x}, {y}, static_cast<double>(x.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -322,7 +319,7 @@ Tensor Engine::avgpool2(const Tensor& x) {
   e.backward = [x, n, c, h, w](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "apool.gx");
-    eng.execute("avgpool2_bwd", {gout[0]}, {gx},
+    eng.execute({gout[0]}, {gx},
                 static_cast<double>(x.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -340,7 +337,7 @@ Tensor Engine::dropout(const Tensor& x, float p, std::uint64_t seed) {
   Tensor y = tensor(x.shape(), "drop.y");
   Tensor mask = tensor(x.shape(), "drop.mask");
   const auto n = x.numel();
-  execute("dropout", {x}, {y, mask}, static_cast<double>(n),
+  execute({x}, {y, mask}, static_cast<double>(n),
           kEltwiseEfficiency,
           [n, p, seed](const real::KernelCtx& kctx,
                        const std::vector<const float*>& r,
@@ -354,7 +351,7 @@ Tensor Engine::dropout(const Tensor& x, float p, std::uint64_t seed) {
   e.backward = [mask, x, n](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "drop.gx");
-    eng.execute("dropout_bwd", {mask, gout[0]}, {gx},
+    eng.execute({mask, gout[0]}, {gx},
                 static_cast<double>(n), kEltwiseEfficiency,
                 [n](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -372,7 +369,7 @@ Tensor Engine::global_avgpool(const Tensor& x) {
   CA_CHECK(s.rank() == 4, "global_avgpool expects NCHW");
   Tensor y = tensor({s.n(), s.c()}, "gap.y");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("global_avgpool", {x}, {y}, static_cast<double>(x.numel()),
+  execute({x}, {y}, static_cast<double>(x.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -386,7 +383,7 @@ Tensor Engine::global_avgpool(const Tensor& x) {
   e.backward = [x, n, c, h, w](Engine& eng, const std::vector<Tensor>& gout)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(x.shape(), "gap.gx");
-    eng.execute("global_avgpool_bwd", {gout[0]}, {gx},
+    eng.execute({gout[0]}, {gx},
                 static_cast<double>(x.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -409,7 +406,7 @@ Tensor Engine::batchnorm(const Tensor& x, const Tensor& gamma,
   Tensor mean = tensor({s.c()}, "bn.mean");
   Tensor istd = tensor({s.c()}, "bn.istd");
   const std::size_t n = s.n(), c = s.c(), h = s.h(), w = s.w();
-  execute("batchnorm", {x, gamma, beta}, {y, mean, istd},
+  execute({x, gamma, beta}, {y, mean, istd},
           8.0 * static_cast<double>(x.numel()), kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -427,7 +424,7 @@ Tensor Engine::batchnorm(const Tensor& x, const Tensor& gamma,
     Tensor gx = eng.tensor(x.shape(), "bn.gx");
     Tensor ggamma = eng.tensor(gamma.shape(), "bn.ggamma");
     Tensor gbeta = eng.tensor(gamma.shape(), "bn.gbeta");
-    eng.execute("batchnorm_bwd", {x, gamma, mean, istd, gout[0]},
+    eng.execute({x, gamma, mean, istd, gout[0]},
                 {gx, ggamma, gbeta}, 12.0 * static_cast<double>(x.numel()),
                 kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
@@ -452,7 +449,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
   CA_CHECK(b.numel() == out, "dense bias size mismatch");
   Tensor y = tensor({n, out}, "dense.y");
   const double flops = 2.0 * static_cast<double>(n) * in * out;
-  execute("dense", {x, w, b}, {y}, flops, config_.compute_efficiency,
+  execute({x, w, b}, {y}, flops, config_.compute_efficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& wr) {
@@ -468,7 +465,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
       -> std::vector<Tensor> {
     const Tensor& gy = gout[0];
     Tensor gx = eng.tensor(x.shape(), "dense.gx");
-    eng.execute("dense_bwd_data", {w, gy}, {gx}, flops,
+    eng.execute({w, gy}, {gx}, flops,
                 eng.config_.compute_efficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -477,7 +474,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
                 },
                 eng.config().conv_read_passes);
     Tensor gw = eng.tensor(w.shape(), "dense.gw");
-    eng.execute("dense_bwd_weights", {x, gy}, {gw}, flops,
+    eng.execute({x, gy}, {gw}, flops,
                 eng.config_.compute_efficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -486,7 +483,7 @@ Tensor Engine::dense(const Tensor& x, const Tensor& w, const Tensor& b) {
                 },
                 eng.config().conv_read_passes);
     Tensor gb = eng.tensor(b.shape(), "dense.gb");
-    eng.execute("dense_bwd_bias", {gy}, {gb}, static_cast<double>(gy.numel()),
+    eng.execute({gy}, {gb}, static_cast<double>(gy.numel()),
                 kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -504,7 +501,7 @@ Tensor Engine::add(const Tensor& a, const Tensor& b) {
   CA_CHECK(!(a == b), "add(x, x) is not supported");
   Tensor y = tensor(a.shape(), "add.y");
   const auto n = a.numel();
-  execute("add", {a, b}, {y}, static_cast<double>(n), kEltwiseEfficiency,
+  execute({a, b}, {y}, static_cast<double>(n), kEltwiseEfficiency,
           [n](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
               const std::vector<float*>& w) {
@@ -534,7 +531,7 @@ Tensor Engine::concat(const Tensor& a, const Tensor& b) {
   Tensor y = tensor({sa.n(), sa.c() + sb.c(), sa.h(), sa.w()}, "concat.y");
   const std::size_t n = sa.n(), ca = sa.c(), cb = sb.c(), h = sa.h(),
                     w = sa.w();
-  execute("concat", {a, b}, {y}, static_cast<double>(y.numel()),
+  execute({a, b}, {y}, static_cast<double>(y.numel()),
           kEltwiseEfficiency,
           [=](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -550,7 +547,7 @@ Tensor Engine::concat(const Tensor& a, const Tensor& b) {
       -> std::vector<Tensor> {
     Tensor ga = eng.tensor(a.shape(), "concat.ga");
     Tensor gb = eng.tensor(b.shape(), "concat.gb");
-    eng.execute("concat_bwd", {gout[0]}, {ga, gb},
+    eng.execute({gout[0]}, {ga, gb},
                 static_cast<double>(gout[0].numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -573,7 +570,6 @@ Tensor Engine::embedding_lookup(const Tensor& table, const Tensor& indices,
 
   Tensor out = tensor({batch, dim}, "embed.out");
   execute_args(
-      "embedding_lookup",
       {{table, /*write=*/false, touched, 1, /*partial=*/true},
        {indices, false, 0, 1, false},
        {out, /*write=*/true, 0, 1, false}},
@@ -596,7 +592,6 @@ Tensor Engine::embedding_lookup(const Tensor& table, const Tensor& indices,
     // instead of migrating the whole table.
     Tensor mutable_table = table;
     eng.execute_args(
-        "embedding_scatter_sgd",
         {{gout[0], false, 0, 1, false},
          {indices, false, 0, 1, false},
          {mutable_table, /*write=*/true, touched, 1, /*partial=*/true}},
@@ -619,7 +614,7 @@ float Engine::softmax_ce_loss(const Tensor& logits, const Tensor& labels) {
   CA_CHECK(labels.numel() == n, "one label per sample");
   Tensor probs = tensor(logits.shape(), "loss.probs");
   float loss = 0.0f;
-  execute("softmax_ce", {logits, labels}, {probs},
+  execute({logits, labels}, {probs},
           8.0 * static_cast<double>(logits.numel()), kEltwiseEfficiency,
           [&, n, classes](const real::KernelCtx& kctx,
                           const std::vector<const float*>& r,
@@ -635,7 +630,7 @@ float Engine::softmax_ce_loss(const Tensor& logits, const Tensor& labels) {
                    Engine& eng, const std::vector<Tensor>&)
       -> std::vector<Tensor> {
     Tensor gx = eng.tensor(logits.shape(), "loss.gx");
-    eng.execute("softmax_ce_bwd", {probs, labels}, {gx},
+    eng.execute({probs, labels}, {gx},
                 static_cast<double>(logits.numel()), kEltwiseEfficiency,
                 [=](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,
@@ -671,7 +666,7 @@ void Engine::accumulate_grad(const Tensor& target, Tensor g) {
     // gradient); copy-on-write before modifying.
     Tensor copy = tensor(acc.shape(), "grad.cow");
     const auto n = acc.numel();
-    execute("grad_copy", {acc}, {copy}, static_cast<double>(n),
+    execute({acc}, {copy}, static_cast<double>(n),
             kEltwiseEfficiency,
             [n](const real::KernelCtx&, const std::vector<const float*>& r,
                 const std::vector<float*>& w) {
@@ -683,7 +678,7 @@ void Engine::accumulate_grad(const Tensor& target, Tensor g) {
     ++grad_uses_[acc.array().identity()];
   }
   const auto n = acc.numel();
-  execute("grad_accumulate", {g, acc}, {acc}, static_cast<double>(n),
+  execute({g, acc}, {acc}, static_cast<double>(n),
           kEltwiseEfficiency,
           [n](const real::KernelCtx& kctx,
               const std::vector<const float*>& r,
@@ -813,7 +808,7 @@ void Engine::sgd_step(float lr) {
     Tensor g = grad(p);
     if (!g.valid()) continue;
     const auto n = p.numel();
-    execute("sgd_update", {g, p}, {p}, 2.0 * static_cast<double>(n),
+    execute({g, p}, {p}, 2.0 * static_cast<double>(n),
             kEltwiseEfficiency,
             [n, lr](const real::KernelCtx& kctx,
                     const std::vector<const float*>& r,

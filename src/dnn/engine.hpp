@@ -82,10 +82,6 @@ struct EngineStats {
   /// Host-side kernel timing (real backends only; wall seconds, never fed
   /// into sim::Clock).  See telemetry::KernelCounters.
   telemetry::KernelCounters kernel_counters;
-
-  /// Per-op-type roofline seconds (simulated), keyed by launch name: which
-  /// layer family the modeled time went to.  See telemetry::OpHistogram.
-  telemetry::OpHistogram op_histogram;
 };
 
 class Engine {
@@ -215,14 +211,13 @@ class Engine {
   /// Generalized kernel launch: hints, staging protection, pinning, cost
   /// charge, optional real math.  `real_fn` receives read pointers (in
   /// read-arg order) and write pointers (in write-arg order).
-  void execute_args(const std::string& name,
-                    const std::vector<KernelArg>& args, double flops,
+  void execute_args(const std::vector<KernelArg>& args, double flops,
                     double efficiency, const RealFn& real_fn);
 
   /// Convenience wrapper: whole-tensor reads/writes, with `read_passes`
   /// applied to every read argument (conv/dense kernels sweep their inputs
   /// more than once).
-  void execute(const std::string& name, const std::vector<Tensor>& reads,
+  void execute(const std::vector<Tensor>& reads,
                const std::vector<Tensor>& writes, double flops,
                double efficiency, const RealFn& real_fn,
                int read_passes = 1);

@@ -41,10 +41,6 @@ struct IterationMetrics {
   /// under kSim).  kernels.gemm_gflops() is the iteration's achieved GEMM
   /// rate.
   telemetry::KernelCounters kernels;
-
-  /// Per-op-type roofline seconds over the iteration, keyed by launch name
-  /// ("conv2d", "dense_bwd_data", ...): names the slowest layer family.
-  telemetry::OpHistogram ops;
 };
 
 struct TrainerOptions {

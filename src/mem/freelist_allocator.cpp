@@ -228,7 +228,6 @@ std::optional<std::size_t> FreeListAllocator::allocate(std::size_t size) {
     ++failed_allocs_;
     return std::nullopt;
   }
-  ++bin_hits_[nodes_[i].bin];
   if (from_home) {
     ++bin_exact_hits_;
   } else {
@@ -500,21 +499,6 @@ std::size_t FreeListAllocator::start_bit_count() const noexcept {
     count += static_cast<std::size_t>(std::popcount(w));
   }
   return count;
-}
-
-std::vector<FreeListAllocator::BinOccupancy> FreeListAllocator::bin_occupancy()
-    const {
-  std::vector<BinOccupancy> out;
-  for (std::size_t b = 0; b < kBinCount; ++b) {
-    std::size_t blocks = 0;
-    for (std::uint32_t i = bins_[b].head; i != kNil;
-         i = nodes_[i].bin_next) {
-      ++blocks;
-    }
-    if (blocks == 0 && bin_hits_[b] == 0) continue;
-    out.push_back({b, bin_min_bytes(b), blocks, bin_hits_[b]});
-  }
-  return out;
 }
 
 // --- invariants -------------------------------------------------------------

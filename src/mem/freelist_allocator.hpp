@@ -97,7 +97,7 @@ class FreeListAllocator {
                        static_cast<double>(free_bytes);
     }
 
-    /// The subset the telemetry report consumes (counters.hpp).
+    /// The subset DataManager::DeviceStats carries (counters.hpp).
     [[nodiscard]] telemetry::AllocatorCounters counters() const noexcept {
       telemetry::AllocatorCounters c;
       c.total_allocs = total_allocs;
@@ -239,15 +239,6 @@ class FreeListAllocator {
   /// Number of set bits in the block-start bitmap (must equal block count).
   [[nodiscard]] std::size_t start_bit_count() const noexcept;
 
-  /// Per-bin occupancy and hit telemetry (occupied or ever-hit bins only).
-  struct BinOccupancy {
-    std::size_t bin = 0;
-    std::size_t min_bytes = 0;
-    std::size_t free_blocks = 0;
-    std::uint64_t hits = 0;  ///< allocations served from this bin
-  };
-  [[nodiscard]] std::vector<BinOccupancy> bin_occupancy() const;
-
  private:
   // Test-only seam: lets the audit test suite corrupt internal state to
   // prove that audit::verify detects each class of violation.  Defined only
@@ -335,7 +326,6 @@ class FreeListAllocator {
   std::uint64_t coalesces_ = 0;
   std::uint64_t bin_exact_hits_ = 0;
   std::uint64_t bin_spill_allocs_ = 0;
-  std::array<std::uint64_t, kBinCount> bin_hits_{};
 };
 
 }  // namespace ca::mem

@@ -125,10 +125,6 @@ class LruPolicy final : public Policy {
     return config_;
   }
 
-  /// Toggle the prefetch response to will_read at runtime (used by
-  /// AdaptivePolicy to explore strategies, paper §VI).
-  void set_prefetch(bool enabled) noexcept { config_.prefetch = enabled; }
-
   /// Number of objects currently resident (primary) in fast memory.
   [[nodiscard]] std::size_t fast_resident_objects() const noexcept {
     return lru_.size();

@@ -52,13 +52,4 @@ double BandwidthCurve::peak() const {
       ->bytes_per_sec;
 }
 
-std::size_t BandwidthCurve::best_threads() const {
-  CA_CHECK(!points_.empty(), "bandwidth curve is empty");
-  return std::max_element(points_.begin(), points_.end(),
-                          [](const Point& a, const Point& b) {
-                            return a.bytes_per_sec < b.bytes_per_sec;
-                          })
-      ->threads;
-}
-
 }  // namespace ca::sim

@@ -36,9 +36,8 @@ class BandwidthCurve {
   /// Bandwidth achieved when `threads` workers drive the device.
   [[nodiscard]] double at(std::size_t threads) const;
 
-  /// Peak bandwidth over all thread counts and the thread count achieving it.
+  /// Peak bandwidth over all thread counts.
   [[nodiscard]] double peak() const;
-  [[nodiscard]] std::size_t best_threads() const;
 
   [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
 

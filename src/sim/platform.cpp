@@ -1,7 +1,5 @@
 #include "sim/platform.hpp"
 
-#include "util/error.hpp"
-
 namespace ca::sim {
 
 namespace {
@@ -10,15 +8,6 @@ namespace {
 constexpr double kGBs = 1024.0 * 1024.0;  // one "paper GB" per second
 
 }  // namespace
-
-DeviceId Platform::find_kind(DeviceKind kind) const {
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (devices[i].kind == kind) {
-      return DeviceId{static_cast<std::uint32_t>(i)};
-    }
-  }
-  throw UsageError("platform has no device of the requested kind");
-}
 
 Platform Platform::cascade_lake_scaled(std::size_t dram_capacity,
                                        std::size_t nvram_capacity) {
@@ -76,42 +65,6 @@ Platform Platform::cascade_lake_scaled(std::size_t dram_capacity,
   nvram.op_latency_s = 3.4e-2;
 
   p.devices = {dram, nvram};
-  return p;
-}
-
-Platform Platform::cxl_scaled(std::size_t local_capacity,
-                              std::size_t remote_capacity) {
-  Platform p;
-  p.copy_threads = 16;
-  p.copy_chunk = 1 * util::MiB;
-  p.scale_note = "CXL expander @ 1:1000 scale (local DRAM + remote memory)";
-
-  DeviceSpec local;
-  local.name = "DRAM (local)";
-  local.kind = DeviceKind::kDram;
-  local.capacity = local_capacity;
-  local.read_bw = BandwidthCurve{
-      {1, 20 * kGBs}, {4, 45 * kGBs}, {8, 75 * kGBs}, {16, 100 * kGBs}};
-  local.write_bw_nt = BandwidthCurve{
-      {1, 16 * kGBs}, {4, 40 * kGBs}, {8, 60 * kGBs}, {16, 80 * kGBs}};
-  local.write_bw = local.write_bw_nt;
-  local.op_latency_s = 2e-4;
-
-  // Remote CXL memory: symmetric reads/writes at roughly a third of local
-  // bandwidth, saturating earlier (link-limited), with a higher
-  // per-transfer latency.  Unlike NVRAM there is no write-bandwidth cliff
-  // and no dependence on store type.
-  DeviceSpec remote;
-  remote.name = "CXL (remote)";
-  remote.kind = DeviceKind::kNvram;  // "slow tier" role for policies
-  remote.read_bw = BandwidthCurve{
-      {1, 10 * kGBs}, {4, 24 * kGBs}, {8, 30 * kGBs}, {16, 32 * kGBs}};
-  remote.write_bw_nt = remote.read_bw;
-  remote.write_bw = remote.read_bw;
-  remote.capacity = remote_capacity;
-  remote.op_latency_s = 2e-3;
-
-  p.devices = {local, remote};
   return p;
 }
 

@@ -45,8 +45,6 @@ struct Platform {
     return devices.at(id.value);
   }
 
-  [[nodiscard]] DeviceId find_kind(DeviceKind kind) const;
-
   /// The scaled Cascade Lake preset described above.  `dram_capacity` and
   /// `nvram_capacity` are arena sizes in (host) bytes; the paper's large-run
   /// configuration is 180 MiB DRAM + 1300 MiB NVRAM.
@@ -57,15 +55,6 @@ struct Platform {
   static Platform cascade_lake_default() {
     return cascade_lake_scaled(180 * util::MiB, 1300 * util::MiB);
   }
-
-  /// A CXL-attached-memory platform (paper §VI: "local/remote memory"):
-  /// local DRAM plus a remote CXL expander.  Remote memory is symmetric
-  /// (reads and writes cost the same; no non-temporal-store asymmetry) at
-  /// roughly a third of local bandwidth with higher per-transfer latency.
-  /// The CachedArrays policy runs on it unmodified -- only this platform
-  /// description changes.
-  static Platform cxl_scaled(std::size_t local_capacity,
-                             std::size_t remote_capacity);
 
   /// A three-tier machine: HBM-like near memory, DRAM, and NVRAM
   /// (paper §III-C: regions support higher-order constructs like

@@ -9,9 +9,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
 
 #include "sim/device.hpp"
 
@@ -82,15 +79,6 @@ struct AllocatorCounters {
   std::size_t free_blocks = 0;
   std::size_t largest_free_block = 0;
   double fragmentation = 0.0;
-
-  /// Fraction of successful allocations the home size-class bin absorbed.
-  [[nodiscard]] double exact_hit_rate() const noexcept {
-    const std::uint64_t served = bin_exact_hits + bin_spill_allocs;
-    return served == 0
-               ? 0.0
-               : static_cast<double>(bin_exact_hits) /
-                     static_cast<double>(served);
-  }
 };
 
 /// Data-parallel communication accounting (DESIGN.md §3.6).  Counts come
@@ -119,62 +107,6 @@ struct CommCounters {
     d.overlapped_seconds = overlapped_seconds - snap.overlapped_seconds;
     return d;
   }
-};
-
-/// Accounting for one kernel op type (e.g. "conv2d_bwd_weights").  Seconds
-/// are *simulated* roofline seconds -- max(memory, compute) as charged to
-/// sim::Clock -- so the histogram attributes the modeled iteration time.
-struct OpStats {
-  std::uint64_t calls = 0;
-  double seconds = 0.0;
-};
-
-/// Per-op-type kernel histogram: which layer family the iteration spent
-/// its time in.  Keyed by the launch name the engine passes to
-/// execute_args ("conv2d", "dense_bwd_data", "sgd_update", ...).
-class OpHistogram {
- public:
-  void record(const std::string& name, double seconds) {
-    auto& s = ops_[name];
-    ++s.calls;
-    s.seconds += seconds;
-  }
-
-  [[nodiscard]] const std::map<std::string, OpStats>& ops() const noexcept {
-    return ops_;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
-
-  /// Difference since a snapshot (ops only ever accumulate); entries whose
-  /// delta is zero calls are dropped.
-  [[nodiscard]] OpHistogram delta(const OpHistogram& snap) const {
-    OpHistogram d;
-    for (const auto& [name, now] : ops_) {
-      OpStats s = now;
-      const auto it = snap.ops_.find(name);
-      if (it != snap.ops_.end()) {
-        s.calls -= it->second.calls;
-        s.seconds -= it->second.seconds;
-      }
-      if (s.calls != 0) d.ops_.emplace(name, s);
-    }
-    return d;
-  }
-
-  /// The op type with the most accumulated seconds ("" when empty).
-  [[nodiscard]] std::pair<std::string, OpStats> slowest() const {
-    std::pair<std::string, OpStats> best;
-    for (const auto& [name, s] : ops_) {
-      if (best.first.empty() || s.seconds > best.second.seconds) {
-        best = {name, s};
-      }
-    }
-    return best;
-  }
-
- private:
-  std::map<std::string, OpStats> ops_;
 };
 
 /// Per-device traffic accounting.  Devices are addressed by sim::DeviceId.

@@ -1,22 +1,13 @@
 #include "telemetry/report.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
 #include "simd/copy.hpp"
 #include "simd/isa.hpp"
+#include "util/format.hpp"
 
 namespace ca::telemetry {
-
-namespace {
-std::string fixed(double v, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-  return buf;
-}
-}  // namespace
 
 std::string csv_escape(const std::string& field) {
   const bool needs_quoting =
@@ -53,91 +44,13 @@ bool write_csv(const std::string& path,
 
 std::string format_kernel_report(const KernelCounters& k) {
   std::string out = "gemm " + std::to_string(k.gemm_calls) + " calls " +
-                    fixed(k.gemm_seconds * 1e3, 2) + "ms " +
-                    fixed(k.gemm_gflops(), 2) + " GFLOP/s";
+                    util::format_fixed(k.gemm_seconds * 1e3, 2) + "ms " +
+                    util::format_fixed(k.gemm_gflops(), 2) + " GFLOP/s";
   out += " | im2col " + std::to_string(k.im2col_calls) + " calls " +
-         fixed(k.im2col_seconds * 1e3, 2) + "ms";
+         util::format_fixed(k.im2col_seconds * 1e3, 2) + "ms";
   out += " | eltwise " + std::to_string(k.eltwise_calls) + " calls " +
-         fixed(k.eltwise_seconds * 1e3, 2) + "ms";
+         util::format_fixed(k.eltwise_seconds * 1e3, 2) + "ms";
   return out;
-}
-
-std::vector<std::vector<std::string>> kernel_report_rows(
-    const KernelCounters& k) {
-  return {
-      {"gemm_calls", "gemm_seconds", "gemm_gflops", "im2col_calls",
-       "im2col_seconds", "eltwise_calls", "eltwise_seconds"},
-      {std::to_string(k.gemm_calls), fixed(k.gemm_seconds, 6),
-       fixed(k.gemm_gflops(), 3), std::to_string(k.im2col_calls),
-       fixed(k.im2col_seconds, 6), std::to_string(k.eltwise_calls),
-       fixed(k.eltwise_seconds, 6)},
-  };
-}
-
-namespace {
-
-/// Ops by descending accumulated seconds (ties: name, for determinism).
-std::vector<std::pair<std::string, OpStats>> ops_by_seconds(
-    const OpHistogram& h) {
-  std::vector<std::pair<std::string, OpStats>> ops(h.ops().begin(),
-                                                   h.ops().end());
-  std::sort(ops.begin(), ops.end(), [](const auto& a, const auto& b) {
-    if (a.second.seconds != b.second.seconds) {
-      return a.second.seconds > b.second.seconds;
-    }
-    return a.first < b.first;
-  });
-  return ops;
-}
-
-}  // namespace
-
-std::string format_op_histogram(const OpHistogram& h) {
-  if (h.empty()) return "no kernel ops recorded";
-  const auto ops = ops_by_seconds(h);
-  std::string out = "slowest op " + ops.front().first + " (" +
-                    std::to_string(ops.front().second.calls) + " calls, " +
-                    fixed(ops.front().second.seconds * 1e3, 2) + "ms)";
-  for (std::size_t i = 1; i < ops.size(); ++i) {
-    out += "; " + ops[i].first + " " +
-           std::to_string(ops[i].second.calls) + " calls " +
-           fixed(ops[i].second.seconds * 1e3, 2) + "ms";
-  }
-  return out;
-}
-
-std::vector<std::vector<std::string>> op_histogram_rows(const OpHistogram& h) {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"op", "calls", "seconds"});
-  for (const auto& [name, s] : ops_by_seconds(h)) {
-    rows.push_back({name, std::to_string(s.calls), fixed(s.seconds, 6)});
-  }
-  return rows;
-}
-
-std::string format_allocator_report(const AllocatorCounters& a) {
-  return "allocs " + std::to_string(a.total_allocs) + " (" +
-         fixed(a.exact_hit_rate() * 100.0, 1) + "% bin-exact) frees " +
-         std::to_string(a.total_frees) + " splits " +
-         std::to_string(a.splits) + " coalesces " +
-         std::to_string(a.coalesces) + " failed " +
-         std::to_string(a.failed_allocs) + " frag " +
-         fixed(a.fragmentation, 2);
-}
-
-std::vector<std::vector<std::string>> allocator_report_rows(
-    const AllocatorCounters& a) {
-  return {
-      {"total_allocs", "total_frees", "failed_allocs", "splits", "coalesces",
-       "bin_exact_hits", "bin_spill_allocs", "exact_hit_rate", "free_blocks",
-       "largest_free_block", "fragmentation"},
-      {std::to_string(a.total_allocs), std::to_string(a.total_frees),
-       std::to_string(a.failed_allocs), std::to_string(a.splits),
-       std::to_string(a.coalesces), std::to_string(a.bin_exact_hits),
-       std::to_string(a.bin_spill_allocs), fixed(a.exact_hit_rate(), 4),
-       std::to_string(a.free_blocks), std::to_string(a.largest_free_block),
-       fixed(a.fragmentation, 4)},
-  };
 }
 
 std::string format_simd_report(

@@ -27,30 +27,6 @@ bool write_csv(const std::string& path,
 /// All figures are host wall time (see KernelCounters).
 [[nodiscard]] std::string format_kernel_report(const KernelCounters& k);
 
-/// The same counters as CSV rows (header + one data row), for the bench
-/// exporters.
-[[nodiscard]] std::vector<std::vector<std::string>> kernel_report_rows(
-    const KernelCounters& k);
-
-/// Human-readable per-op-type summary, slowest op first, e.g.
-/// "slowest op conv2d_bwd_weights (12 calls, 8.31ms); conv2d 24 calls
-/// 6.02ms; ...".  Seconds are simulated roofline seconds.
-[[nodiscard]] std::string format_op_histogram(const OpHistogram& h);
-
-/// The histogram as CSV rows (header + one row per op, descending
-/// seconds).
-[[nodiscard]] std::vector<std::vector<std::string>> op_histogram_rows(
-    const OpHistogram& h);
-
-/// One-line summary of a device heap's allocator counters, e.g.
-/// "allocs 1203 (98.2% bin-exact) frees 1108 splits 411 coalesces 387
-/// failed 2 frag 0.12".
-[[nodiscard]] std::string format_allocator_report(const AllocatorCounters& a);
-
-/// The same counters as CSV rows (header + one data row).
-[[nodiscard]] std::vector<std::vector<std::string>> allocator_report_rows(
-    const AllocatorCounters& a);
-
 /// One-line summary of the SIMD data plane: the active dispatch level
 /// (simd::active_level), the per-device NT-store write bytes passed in as
 /// (device name, DeviceTraffic::bytes_written_nt) pairs, and the

@@ -1,7 +1,6 @@
 #include "telemetry/trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ca::telemetry {
 
@@ -37,13 +36,6 @@ std::vector<TimeSeries::Sample> TimeSeries::downsample(
     if (n > 0) out.push_back({last_t, sum / static_cast<double>(n)});
   }
   return out;
-}
-
-std::string TimeSeries::to_csv() const {
-  std::ostringstream os;
-  os << "t," << name_ << '\n';
-  for (const auto& s : samples_) os << s.t << ',' << s.value << '\n';
-  return os.str();
 }
 
 }  // namespace ca::telemetry

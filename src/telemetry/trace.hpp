@@ -1,4 +1,4 @@
-// Time-series tracing: heap occupancy (Fig. 3) and bus utilization (Fig. 6).
+// Time-series tracing: heap occupancy over simulated time (Fig. 3).
 #pragma once
 
 #include <cstddef>
@@ -32,38 +32,11 @@ class TimeSeries {
   /// bins; used to print compact figure data.
   [[nodiscard]] std::vector<Sample> downsample(std::size_t buckets) const;
 
-  /// Serialize as "t,value" CSV lines (with header).
-  [[nodiscard]] std::string to_csv() const;
-
   void clear() noexcept { samples_.clear(); }
 
  private:
   std::string name_;
   std::vector<Sample> samples_;
-};
-
-/// Integrates busy intervals of the DRAM bus to produce an *average
-/// utilization* over a run: sum(busy time at full bandwidth) / elapsed.
-class BusUtilization {
- public:
-  /// Record that the bus was driven for `busy_seconds` transferring
-  /// `bytes` at an achieved bandwidth of bytes/busy_seconds.
-  void record_transfer(double busy_seconds) { busy_ += busy_seconds; }
-
-  /// Average utilization over [0, elapsed]: fraction of wall (simulated)
-  /// time the bus was busy.  Clamped to [0, 1].
-  [[nodiscard]] double average(double elapsed) const noexcept {
-    if (elapsed <= 0.0) return 0.0;
-    const double u = busy_ / elapsed;
-    return u > 1.0 ? 1.0 : u;
-  }
-
-  [[nodiscard]] double busy_seconds() const noexcept { return busy_; }
-
-  void reset() noexcept { busy_ = 0.0; }
-
- private:
-  double busy_ = 0.0;
 };
 
 }  // namespace ca::telemetry

@@ -129,9 +129,4 @@ std::size_t DirectMappedCache::touch_way(std::size_t set,
   return way;
 }
 
-void DirectMappedCache::flush() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(lru_.begin(), lru_.end(), 0);
-}
-
 }  // namespace ca::twolm

@@ -88,9 +88,6 @@ class DirectMappedCache {
   /// stepped block by block.
   double access(std::size_t addr, std::size_t bytes, bool write);
 
-  /// Invalidate all blocks (machine reboot between experiments).
-  void flush();
-
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 

@@ -62,12 +62,6 @@ class IntrusiveList {
     --size_;
   }
 
-  /// True iff `item` is currently on *some* list (hooks are per-list, so in
-  /// practice: this list).
-  [[nodiscard]] static bool contains_hooked(const T& item) noexcept {
-    return (item.*HookMember).linked();
-  }
-
   [[nodiscard]] T* front() noexcept {
     return empty() ? nullptr : owner(sentinel_.next);
   }
@@ -103,17 +97,6 @@ class IntrusiveList {
       ListHook* next = h->next;
       fn(*owner(h));
       h = next;
-    }
-  }
-
-  /// Reverse iteration, back (coldest) to front.  Same erase guarantee.
-  template <typename Fn>
-  void for_each_reverse(Fn&& fn) {
-    ListHook* h = sentinel_.prev;
-    while (h != &sentinel_) {
-      ListHook* prev = h->prev;
-      fn(*owner(h));
-      h = prev;
     }
   }
 

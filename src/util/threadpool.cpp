@@ -115,60 +115,6 @@ void ThreadPool::parallel_for(
   state->latch.wait();
 }
 
-void ThreadPool::parallel_for_2d(
-    std::size_t ny, std::size_t nx,
-    const std::function<void(std::size_t, std::size_t, std::size_t,
-                             std::size_t)>& fn,
-    std::size_t min_grain) {
-  if (ny == 0 || nx == 0) return;
-  const std::size_t workers = thread_count();
-  const std::size_t elements = ny * nx;
-  if (workers == 1 || elements <= std::max<std::size_t>(1, min_grain)) {
-    fn(0, ny, 0, nx);  // tiny tensors stay serial: one inline call
-    return;
-  }
-
-  // Tile rows first (keeps the x dimension contiguous for vectorized inner
-  // loops); aim for ~4 tiles per participant so stragglers cannot stall the
-  // barrier, but never let a tile shrink below min_grain elements.
-  const std::size_t target_tiles = (workers + 1) * 4;
-  std::size_t tile_rows = std::max<std::size_t>(
-      1, std::min(util::ceil_div(ny, target_tiles),
-                  util::ceil_div(std::max<std::size_t>(1, min_grain), nx)));
-  // Rounding ceil_div(min_grain, nx) up can exceed min_grain; that's the
-  // right direction (coarser, never finer).
-  std::size_t row_tiles = util::ceil_div(ny, tile_rows);
-  std::size_t tile_cols = nx;
-  if (row_tiles < workers && nx >= 2 * std::max<std::size_t>(1, min_grain)) {
-    // Too few rows to feed the pool (e.g. a handful of fat image rows):
-    // split columns as well until there is roughly one tile per worker.
-    tile_cols = std::max(std::max<std::size_t>(1, min_grain),
-                         util::ceil_div(nx, util::ceil_div(workers, row_tiles)));
-  }
-  const std::size_t col_tiles = util::ceil_div(nx, tile_cols);
-  const std::size_t tiles = row_tiles * col_tiles;
-  if (tiles == 1) {
-    fn(0, ny, 0, nx);
-    return;
-  }
-
-  // Tiles are coarse by construction; hand them to the 1D driver one at a
-  // time (min_grain = 1 tile).
-  parallel_for(
-      tiles,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::size_t ty = t / col_tiles;
-          const std::size_t tx = t % col_tiles;
-          const std::size_t y0 = ty * tile_rows;
-          const std::size_t x0 = tx * tile_cols;
-          fn(y0, std::min(y0 + tile_rows, ny), x0,
-             std::min(x0 + tile_cols, nx));
-        }
-      },
-      /*min_grain=*/1);
-}
-
 void ThreadPool::wait_idle() {
   sync::lock lock(mu_);
   cv_idle_.wait(lock, [this]() CA_REQUIRES(mu_) {

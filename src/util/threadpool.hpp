@@ -60,17 +60,6 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn,
                     std::size_t min_grain = kDefaultMinGrain);
 
-  /// 2D variant: run `fn(y0, y1, x0, x1)` over a tiling of
-  /// [0, ny) x [0, nx).  The grain heuristic counts *elements* (ny * nx):
-  /// small tensors run inline as a single fn(0, ny, 0, nx) call; large ones
-  /// split rows first (keeping inner-x contiguity for vectorized kernels)
-  /// and split columns only when there are too few rows to feed the pool.
-  void parallel_for_2d(
-      std::size_t ny, std::size_t nx,
-      const std::function<void(std::size_t, std::size_t, std::size_t,
-                               std::size_t)>& fn,
-      std::size_t min_grain = kDefaultMinGrain);
-
   /// min_grain scaled to per-element cost: a parallel_for whose elements
   /// each do `work_per_item` element-ops of real work should flip to the
   /// pool once n * work_per_item exceeds kDefaultMinGrain.

@@ -1,5 +1,6 @@
 // BenchReport, the one BENCH_<name>.json emitter every bench shares: typed
-// rows, the run header, JSON escaping and the smoke file name.
+// rows, the run header, JSON escaping and the smoke file name; and the
+// percentile every latency-tail row uses.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
@@ -7,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 
@@ -78,6 +80,14 @@ TEST_F(BenchReportTest, SmokeRunWritesTheSmokeName) {
   EXPECT_EQ(path, (dir_ / "BENCH_unit.smoke.json").string());
   EXPECT_FALSE(fs::exists(dir_ / "BENCH_unit.json"));
   EXPECT_NE(slurp(path).find("\"smoke\": true"), std::string::npos);
+}
+
+TEST_F(BenchReportTest, PercentileTakesTheFloorIndex) {
+  std::vector<double> samples = {10, 3, 7, 1, 9, 2, 8, 5, 4, 6};
+  EXPECT_EQ(percentile(samples, 0.5), 5.0);   // index floor(0.5 * 9) = 4
+  EXPECT_EQ(percentile(samples, 0.99), 9.0);  // index floor(0.99 * 9) = 8
+  std::vector<double> none;
+  EXPECT_EQ(percentile(none, 0.99), 0.0);
 }
 
 }  // namespace

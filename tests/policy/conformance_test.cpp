@@ -8,11 +8,11 @@
 #include <functional>
 
 #include "dm/data_manager.hpp"
-#include "policy/adaptive_policy.hpp"
 #include "policy/lru_policy.hpp"
 #include "policy/static_policy.hpp"
 #include "policy/tiered_policy.hpp"
 #include "util/align.hpp"
+#include "util/rng.hpp"
 
 namespace ca::policy {
 namespace {
@@ -62,13 +62,6 @@ std::vector<PolicyCase> all_policies() {
          cfg.tiers = {sim::kFast, sim::kSlow};
          cfg.min_migratable = 0;
          return std::make_unique<TieredLruPolicy>(dm, cfg);
-       }},
-      {"Adaptive",
-       [](dm::DataManager& dm) {
-         AdaptivePolicyConfig cfg;
-         cfg.base.min_migratable = 0;
-         cfg.window_kernels = 4;
-         return std::make_unique<AdaptivePolicy>(dm, cfg);
        }},
   };
 }
@@ -277,7 +270,7 @@ TEST_P(PolicyConformance, SurvivesChurnWithInvariantsIntact) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyConformance,
-    ::testing::Range<std::size_t>(0, 8),
+    ::testing::Range<std::size_t>(0, all_policies().size()),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return all_policies()[info.param].name;
     });

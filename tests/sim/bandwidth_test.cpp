@@ -41,7 +41,6 @@ TEST(BandwidthCurve, DecreasingCurveModelsNvramWrites) {
   EXPECT_GT(c.at(4), c.at(16));
   EXPECT_GT(c.at(16), c.at(32));
   EXPECT_DOUBLE_EQ(c.peak(), 8.0);
-  EXPECT_EQ(c.best_threads(), 4u);
 }
 
 TEST(BandwidthCurve, NonIncreasingThreadOrderThrows) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "util/align.hpp"
-#include "util/error.hpp"
 
 namespace ca::sim {
 namespace {
@@ -19,8 +18,8 @@ TEST(Platform, DefaultPresetShape) {
 
 TEST(Platform, FastSlowAliasesMatchKinds) {
   const auto p = Platform::cascade_lake_default();
-  EXPECT_EQ(p.find_kind(DeviceKind::kDram), kFast);
-  EXPECT_EQ(p.find_kind(DeviceKind::kNvram), kSlow);
+  EXPECT_EQ(p.spec(kFast).kind, DeviceKind::kDram);
+  EXPECT_EQ(p.spec(kSlow).kind, DeviceKind::kNvram);
 }
 
 TEST(Platform, NvramWriteSlowerThanRead) {
@@ -69,15 +68,23 @@ TEST(Platform, CustomCapacities) {
   EXPECT_EQ(p.spec(kSlow).capacity, 50 * util::MiB);
 }
 
-TEST(Platform, FindKindThrowsWhenAbsent) {
-  Platform p;
-  p.devices.push_back(Platform::cascade_lake_default().devices[0]);
-  EXPECT_THROW(p.find_kind(DeviceKind::kNvram), UsageError);
-}
-
 TEST(Platform, DeviceKindNames) {
   EXPECT_STREQ(to_string(DeviceKind::kDram), "DRAM");
   EXPECT_STREQ(to_string(DeviceKind::kNvram), "NVRAM");
+}
+
+TEST(ThreeTierPlatform, ShapeAndOrdering) {
+  const auto p = Platform::three_tier_scaled(
+      32 * util::MiB, 128 * util::MiB, 1024 * util::MiB);
+  ASSERT_EQ(p.devices.size(), 3u);
+  EXPECT_EQ(p.devices[0].capacity, 32 * util::MiB);
+  EXPECT_EQ(p.devices[1].capacity, 128 * util::MiB);
+  EXPECT_EQ(p.devices[2].capacity, 1024 * util::MiB);
+  // Strictly faster as you go up.
+  for (std::size_t t : {1u, 4u, 8u}) {
+    EXPECT_GT(p.devices[0].read_bw.at(t), p.devices[1].read_bw.at(t));
+    EXPECT_GT(p.devices[1].read_bw.at(t), p.devices[2].read_bw.at(t));
+  }
 }
 
 }  // namespace

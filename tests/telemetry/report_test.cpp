@@ -67,97 +67,5 @@ TEST(KernelReport, ZeroTimeHasZeroRate) {
   EXPECT_NE(line.find("0.00 GFLOP/s"), std::string::npos);
 }
 
-TEST(KernelReport, RowsMatchHeader) {
-  KernelCounters k;
-  k.gemm_calls = 2;
-  k.gemm_seconds = 1.0;
-  k.gemm_flops = 4.0e9;
-  const auto rows = kernel_report_rows(k);
-  ASSERT_EQ(rows.size(), 2u);
-  ASSERT_EQ(rows[0].size(), rows[1].size());
-  EXPECT_EQ(rows[0][0], "gemm_calls");
-  EXPECT_EQ(rows[1][0], "2");
-  EXPECT_EQ(rows[0][2], "gemm_gflops");
-  EXPECT_EQ(rows[1][2], "4.000");
-}
-
-TEST(OpHistogram, RecordAccumulatesAndDeltaSubtracts) {
-  OpHistogram h;
-  h.record("conv2d", 0.010);
-  h.record("conv2d", 0.005);
-  h.record("dense", 0.002);
-  ASSERT_EQ(h.ops().size(), 2u);
-  EXPECT_EQ(h.ops().at("conv2d").calls, 2u);
-  EXPECT_DOUBLE_EQ(h.ops().at("conv2d").seconds, 0.015);
-
-  const OpHistogram snap = h;
-  h.record("dense", 0.004);
-  h.record("sgd_update", 0.001);
-  const OpHistogram d = h.delta(snap);
-  // conv2d did not move: dropped from the delta entirely.
-  EXPECT_EQ(d.ops().count("conv2d"), 0u);
-  EXPECT_EQ(d.ops().at("dense").calls, 1u);
-  EXPECT_DOUBLE_EQ(d.ops().at("dense").seconds, 0.004);
-  EXPECT_EQ(d.ops().at("sgd_update").calls, 1u);
-}
-
-TEST(OpHistogram, SlowestNamesTheBiggestTimeSink) {
-  OpHistogram h;
-  EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.slowest().first, "");
-  h.record("conv2d", 0.003);
-  h.record("conv2d_bwd_weights", 0.009);
-  h.record("relu", 0.001);
-  EXPECT_EQ(h.slowest().first, "conv2d_bwd_weights");
-  EXPECT_EQ(h.slowest().second.calls, 1u);
-}
-
-TEST(OpHistogram, FormatLeadsWithTheSlowestOp) {
-  OpHistogram h;
-  h.record("conv2d", 0.003);
-  h.record("conv2d_bwd_weights", 0.009);
-  const std::string line = format_op_histogram(h);
-  EXPECT_EQ(line.find("slowest op conv2d_bwd_weights"), 0u) << line;
-  EXPECT_NE(line.find("conv2d 1 calls"), std::string::npos) << line;
-  EXPECT_EQ(format_op_histogram(OpHistogram{}), "no kernel ops recorded");
-}
-
-TEST(OpHistogram, RowsDescendBySeconds) {
-  OpHistogram h;
-  h.record("a_fast", 0.001);
-  h.record("z_slow", 0.020);
-  h.record("m_mid", 0.010);
-  const auto rows = op_histogram_rows(h);
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0][0], "op");
-  EXPECT_EQ(rows[1][0], "z_slow");
-  EXPECT_EQ(rows[2][0], "m_mid");
-  EXPECT_EQ(rows[3][0], "a_fast");
-}
-
-TEST(AllocatorReport, FormatsHitRateAndChurn) {
-  AllocatorCounters a;
-  a.total_allocs = 1000;
-  a.total_frees = 900;
-  a.failed_allocs = 2;
-  a.splits = 411;
-  a.coalesces = 387;
-  a.bin_exact_hits = 750;
-  a.bin_spill_allocs = 250;
-  a.fragmentation = 0.12;
-  const std::string line = format_allocator_report(a);
-  EXPECT_NE(line.find("allocs 1000 (75.0% bin-exact)"), std::string::npos)
-      << line;
-  EXPECT_NE(line.find("splits 411"), std::string::npos);
-  EXPECT_NE(line.find("coalesces 387"), std::string::npos);
-  EXPECT_NE(line.find("frag 0.12"), std::string::npos);
-
-  const auto rows = allocator_report_rows(a);
-  ASSERT_EQ(rows.size(), 2u);
-  ASSERT_EQ(rows[0].size(), rows[1].size());
-  EXPECT_EQ(rows[0][7], "exact_hit_rate");
-  EXPECT_EQ(rows[1][7], "0.7500");
-}
-
 }  // namespace
 }  // namespace ca::telemetry

@@ -88,23 +88,5 @@ TEST(TimeSeries, DownsamplePreservesTimeOrder) {
   }
 }
 
-TEST(TimeSeries, CsvSerialization) {
-  TimeSeries s("resident");
-  s.record(0.5, 42.0);
-  const auto csv = s.to_csv();
-  EXPECT_NE(csv.find("t,resident"), std::string::npos);
-  EXPECT_NE(csv.find("0.5,42"), std::string::npos);
-}
-
-TEST(BusUtilization, AveragesBusyOverElapsed) {
-  BusUtilization u;
-  u.record_transfer(2.0);
-  u.record_transfer(3.0);
-  EXPECT_DOUBLE_EQ(u.busy_seconds(), 5.0);
-  EXPECT_DOUBLE_EQ(u.average(10.0), 0.5);
-  EXPECT_DOUBLE_EQ(u.average(4.0), 1.0);  // clamped
-  EXPECT_DOUBLE_EQ(u.average(0.0), 0.0);
-}
-
 }  // namespace
 }  // namespace ca::telemetry

@@ -131,16 +131,6 @@ TEST_F(CacheFixture, AddressReuseAfterFreeHitsInCache) {
   EXPECT_EQ(c.stats().misses(), 32u);
 }
 
-TEST_F(CacheFixture, FlushInvalidatesEverything) {
-  auto c = make();
-  c.access(0, 4 * util::KiB, true);
-  c.flush();
-  const auto before = c.stats().dirty_misses;
-  c.access(0, 4 * util::KiB, false);
-  EXPECT_EQ(c.stats().dirty_misses, before);  // no dirty victims post-flush
-  EXPECT_EQ(c.stats().hits, 0u);
-}
-
 TEST_F(CacheFixture, ZeroByteAccessIsFree) {
   auto c = make();
   EXPECT_DOUBLE_EQ(c.access(0, 0, false), 0.0);

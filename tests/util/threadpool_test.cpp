@@ -154,70 +154,5 @@ TEST(ThreadPool, GrainForScalesInverselyWithWork) {
   EXPECT_EQ(ThreadPool::grain_for(2 * ThreadPool::kDefaultMinGrain), 1u);
 }
 
-// --- parallel_for_2d ---------------------------------------------------------
-
-TEST(ThreadPool, ParallelFor2dSmallRunsAsOneInlineCall) {
-  ThreadPool pool(4);
-  const std::uint64_t before = pool.tasks_enqueued();
-  std::atomic<int> calls{0};
-  pool.parallel_for_2d(8, 8,
-                       [&](std::size_t y0, std::size_t y1, std::size_t x0,
-                           std::size_t x1) {
-                         EXPECT_EQ(y0, 0u);
-                         EXPECT_EQ(y1, 8u);
-                         EXPECT_EQ(x0, 0u);
-                         EXPECT_EQ(x1, 8u);
-                         calls.fetch_add(1);
-                       });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(pool.tasks_enqueued(), before);
-}
-
-TEST(ThreadPool, ParallelFor2dCoversEveryCellExactlyOnce) {
-  ThreadPool pool(4);
-  const std::size_t ny = 37, nx = 211;
-  std::vector<std::atomic<int>> hits(ny * nx);
-  pool.parallel_for_2d(
-      ny, nx,
-      [&](std::size_t y0, std::size_t y1, std::size_t x0, std::size_t x1) {
-        for (std::size_t y = y0; y < y1; ++y) {
-          for (std::size_t x = x0; x < x1; ++x) {
-            hits[y * nx + x].fetch_add(1);
-          }
-        }
-      },
-      64);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelFor2dSplitsColumnsWhenRowsAreFew) {
-  ThreadPool pool(4);
-  // 2 rows cannot feed 4 workers by row-splitting alone: tiles must split x.
-  const std::size_t ny = 2, nx = 64 * 1024;
-  std::atomic<std::size_t> cells{0};
-  std::atomic<bool> split_x{false};
-  pool.parallel_for_2d(
-      ny, nx,
-      [&](std::size_t y0, std::size_t y1, std::size_t x0, std::size_t x1) {
-        if (x1 - x0 < nx) split_x.store(true);
-        cells.fetch_add((y1 - y0) * (x1 - x0));
-      },
-      1024);
-  EXPECT_EQ(cells.load(), ny * nx);
-  EXPECT_TRUE(split_x.load());
-}
-
-TEST(ThreadPool, ParallelFor2dZeroIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_2d(0, 16,
-                       [&](std::size_t, std::size_t, std::size_t,
-                           std::size_t) { called = true; });
-  pool.parallel_for_2d(16, 0,
-                       [&](std::size_t, std::size_t, std::size_t,
-                           std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 }  // namespace
 }  // namespace ca::util

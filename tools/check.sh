@@ -52,8 +52,10 @@
 #            every dispatch tier), then the NT-writeback hazard scenario
 #            plus the simd suite under the CA_RACE shims.  Skip-aware: on
 #            a host without AVX2 only the scalar half runs.
-#   bench    bench-smoke: every bench entry point runs end to end on tiny
-#            shapes (ctest -L bench-smoke on the ASan build), then the
+#   bench    bench-smoke: every BENCH-emitting bench and table3_models
+#            runs end to end on tiny shapes (ctest -L bench-smoke on the
+#            ASan build; the seven figure binaries stay outside ctest and
+#            are checked by byte-identical stdout), then the
 #            repository benchmark's self-tests (perfbench/test_perfbench.py:
 #            the twolm access identity, traced-vs-untraced reproduction and
 #            same-seed determinism on the smoke shapes).
@@ -309,7 +311,7 @@ fi
 
 # --- bench smoke ---------------------------------------------------------------
 if selected bench; then
-  note "bench: every bench entry point on tiny shapes"
+  note "bench: every BENCH-emitting bench and table3_models on tiny shapes"
   ( cd build-asan && ctest -L bench-smoke --output-on-failure )
   note "bench: perfbench self-tests (builds into .bench_build/)"
   python3 perfbench/test_perfbench.py
