@@ -1,6 +1,7 @@
 #include "twolm/direct_mapped_cache.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/align.hpp"
 #include "util/error.hpp"
@@ -24,8 +25,14 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
   const std::size_t blocks = config_.capacity / config_.block_size;
   CA_CHECK(blocks % config_.ways == 0,
            "capacity/block_size must be a multiple of the associativity");
-  tags_.assign(blocks, 0);
-  if (config_.ways > 1) lru_.assign(blocks, 0);
+  num_sets_ = blocks / config_.ways;
+  if (config_.ways == 1) {
+    tags_ = std::make_unique_for_overwrite<std::uint64_t[]>(blocks);
+    chunk_.assign((num_sets_ + kChunkSets - 1) / kChunkSets, 0);
+  } else {
+    tags_ = std::make_unique<std::uint64_t[]>(blocks);
+    lru_.assign(blocks, 0);
+  }
 
   const std::size_t t = config_.kernel_threads;
   const auto& dram = platform_.spec(fast_);
@@ -52,37 +59,29 @@ double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
   // Consecutive blocks map to consecutive sets, so the run is walked in
   // segments that end where the set index wraps to 0.  Within a segment
   // the tag is constant; the next segment's tag is one higher.
-  const std::size_t ways = config_.ways;
-  const std::size_t nsets = num_sets();
+  const std::size_t nsets = num_sets_;
   std::size_t set = first % nsets;
   std::uint64_t want = ((first / nsets) << kTagShift) | kValid;
   const std::uint64_t touch = write ? kDirty : 0;
 
-  std::uint64_t hits = 0;
-  std::uint64_t dirty = 0;
+  Tally tally;
   for (std::uint64_t left = blocks; left > 0;) {
     const std::size_t len = std::min<std::uint64_t>(left, nsets - set);
-    for (const std::size_t end = set + len; set < end; ++set) {
-      std::uint64_t& line =
-          tags_[set * ways + (ways == 1 ? 0 : touch_way(set, want))];
-      // Branch-free: a hit keeps the line's dirty bit; a miss refills it
-      // clean and is a dirty miss if the victim was dirty.
-      const std::uint64_t old = line;
-      const std::uint64_t miss = (old & ~kDirty) != want;
-      const std::uint64_t was_dirty = (old & kDirty) >> 1;
-      hits += miss ^ 1;
-      dirty += miss & was_dirty;
-      line = want | touch | (((miss ^ 1) & was_dirty) << 1);
+    if (config_.ways == 1) {
+      update_chunks(set, set + len, want, touch, tally);
+    } else {
+      walk_lines(set, set + len, want, touch, tally);
     }
     left -= len;
     set = 0;
     want += std::uint64_t{1} << kTagShift;
   }
 
-  const std::uint64_t clean = blocks - hits - dirty;
+  const std::uint64_t dirty = tally.dirty;
+  const std::uint64_t clean = blocks - tally.hits - dirty;
   const std::uint64_t misses = clean + dirty;
   stats_.accesses += blocks;
-  stats_.hits += hits;
+  stats_.hits += tally.hits;
   stats_.clean_misses += clean;
   stats_.dirty_misses += dirty;
 
@@ -112,6 +111,73 @@ double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
              (1.0 / nvram_fill_bw_ + 1.0 / dram_bw_) +
          static_cast<double>(wb_bytes) *
              (1.0 / nvram_writeback_bw_ + 1.0 / dram_bw_);
+}
+
+// Both helpers are inline so that access() makes no call on the
+// single-block path, which random streams take every time.
+inline void DirectMappedCache::update_chunks(std::size_t set,
+                                             std::size_t end,
+                                             std::uint64_t want,
+                                             std::uint64_t touch,
+                                             Tally& tally) {
+  while (set < end) {
+    const std::size_t c = set / kChunkSets;
+    const std::size_t lo = c * kChunkSets;
+    const std::size_t hi = std::min(lo + kChunkSets, num_sets_);
+    const std::size_t stop = std::min(end, hi);
+    const bool whole = set == lo && stop == hi;
+    std::uint64_t& summary = chunk_[c];
+    if (summary != kMixed) {
+      if (whole) {
+        // Every line holds `summary`: one hit or one miss, times n.
+        const std::uint64_t n = hi - lo;
+        if ((summary & ~kDirty) == want) {
+          tally.hits += n;
+          summary |= touch;
+        } else {
+          tally.dirty += (summary & kDirty) != 0 ? n : 0;
+          summary = want | touch;
+        }
+        set = stop;
+        continue;
+      }
+      std::fill(tags_.get() + lo, tags_.get() + hi, summary);
+      summary = kMixed;
+    }
+    const std::uint64_t same = walk_lines(set, stop, want, touch, tally);
+    if (whole) summary = same;
+    set = stop;
+  }
+}
+
+inline std::uint64_t DirectMappedCache::walk_lines(std::size_t set,
+                                                   std::size_t end,
+                                                   std::uint64_t want,
+                                                   std::uint64_t touch,
+                                                   Tally& tally) {
+  const std::size_t ways = config_.ways;
+  std::uint64_t hits = 0;
+  std::uint64_t dirty = 0;
+  // The touched lines all hold one word iff their OR equals their AND.
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (; set < end; ++set) {
+    std::uint64_t& line =
+        tags_[set * ways + (ways == 1 ? 0 : touch_way(set, want))];
+    // Branch-free: a hit keeps the line's dirty bit; a miss refills it
+    // clean and is a dirty miss if the victim was dirty.
+    const std::uint64_t old = line;
+    const std::uint64_t miss = (old & ~kDirty) != want;
+    const std::uint64_t was_dirty = (old & kDirty) >> 1;
+    hits += miss ^ 1;
+    dirty += miss & was_dirty;
+    line = want | touch | (((miss ^ 1) & was_dirty) << 1);
+    any |= line;
+    all &= line;
+  }
+  tally.hits += hits;
+  tally.dirty += dirty;
+  return any == all ? any : kMixed;
 }
 
 std::size_t DirectMappedCache::touch_way(std::size_t set,

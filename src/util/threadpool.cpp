@@ -60,7 +60,7 @@ struct ParallelForState {
   // Every participant hammers the work cursor with fetch_add while the
   // latch's arrival word is hammered right behind it; on separate cache
   // lines a range claim never invalidates the line an arrival is writing.
-  CacheLineAligned<sync::atomic<std::size_t>> next{0};
+  CacheLineAligned<sync::atomic<std::size_t>> next{std::size_t{0}};
   CompletionLatch latch;  // internally line-separated itself
 
   explicit ParallelForState(std::size_t n_) : n(n_), latch(n_) {}

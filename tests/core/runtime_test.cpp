@@ -100,7 +100,7 @@ TEST(Runtime, GcTriggerFractionCollectsProactively) {
 TEST(Runtime, ResolveRequiresKernelBracket) {
   Runtime rt(small_platform(), lru_factory());
   dm::Object& obj = rt.new_object(1024);
-  EXPECT_THROW(rt.resolve(obj, false), InternalError);
+  EXPECT_THROW((void)rt.resolve(obj, false), InternalError);
   dm::Object* args[] = {&obj};
   rt.begin_kernel(args);
   EXPECT_NE(rt.resolve(obj, false), nullptr);
@@ -114,9 +114,9 @@ TEST(Runtime, ResolveForWriteMarksDirty) {
   dm::Object& obj = rt.new_object(1024);
   dm::Object* args[] = {&obj};
   rt.begin_kernel(args);
-  rt.resolve(obj, false);
+  (void)rt.resolve(obj, false);
   EXPECT_FALSE(rt.manager().isdirty(*rt.manager().getprimary(obj)));
-  rt.resolve(obj, true);
+  (void)rt.resolve(obj, true);
   EXPECT_TRUE(rt.manager().isdirty(*rt.manager().getprimary(obj)));
   rt.end_kernel(args);
   rt.release(obj);

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "dnn/harness.hpp"
-#include "dnn/ops_real.hpp"
 #include "util/align.hpp"
 
 namespace ca::dnn {
@@ -37,9 +36,6 @@ class ConvShapeSweep : public ::testing::TestWithParam<ConvCase> {
 TEST_P(ConvShapeSweep, WeightGradMatchesFiniteDifferences) {
   const auto p = GetParam();
   // Output geometry must be well-formed for this case.
-  real::ConvDims d{.n = 2, .cin = p.cin, .h = p.hw, .w = p.hw,
-                   .cout = p.cout, .k = p.k, .stride = p.stride,
-                   .pad = p.pad};
   ASSERT_GE(p.hw + 2 * p.pad, p.k);
 
   auto& e = harness_.engine();

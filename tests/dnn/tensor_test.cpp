@@ -26,7 +26,7 @@ TEST(Shape, Equality) {
 
 TEST(Shape, IndexOutOfRangeThrows) {
   Shape s{2, 3};
-  EXPECT_THROW(s[2], InternalError);
+  EXPECT_THROW((void)s[2], InternalError);
 }
 
 TEST(Shape, Str) { EXPECT_EQ((Shape{2, 3, 4, 4}).str(), "(2x3x4x4)"); }

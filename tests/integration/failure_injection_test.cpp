@@ -60,10 +60,10 @@ TEST(FailureInjection, DataManagerMisuseIsRejected) {
   dm::DataManager dm(platform, clock, counters);
 
   // Unknown device.
-  EXPECT_THROW(dm.allocate(sim::DeviceId{7}, 64), InternalError);
+  EXPECT_THROW((void)dm.allocate(sim::DeviceId{7}, 64), InternalError);
   // Zero sizes.
   EXPECT_THROW(dm.create_object(0), UsageError);
-  EXPECT_THROW(dm.allocate(sim::kFast, 0), UsageError);
+  EXPECT_THROW((void)dm.allocate(sim::kFast, 0), UsageError);
   // Cross-object primary.
   dm::Object* a = dm.create_object(64);
   dm::Object* b = dm.create_object(64);

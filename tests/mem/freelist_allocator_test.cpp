@@ -132,7 +132,7 @@ TEST(FreeList, CookieRoundTrip) {
   a.set_cookie(*x, &marker);
   EXPECT_EQ(a.cookie(*x), &marker);
   a.free(*x);
-  EXPECT_THROW(a.cookie(*x), InternalError);
+  EXPECT_THROW((void)a.cookie(*x), InternalError);
 }
 
 TEST(FreeList, StatsTrackAllocationActivity) {

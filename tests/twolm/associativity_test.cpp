@@ -135,16 +135,20 @@ class ReferenceCache {
 
 /// One random-stream case: a cache of `sets` sets (0: the 4 KiB cache, 64
 /// blocks) and accesses of 1..max_blocks blocks from unaligned addresses.
+/// With `chunk_starts`, every run starts at a set that begins one of the
+/// cache's 512-set chunks.
 struct StreamCase {
   std::size_t ways;
   std::uint64_t seed;
   std::size_t sets = 0;
   std::size_t max_blocks = 1;
+  bool chunk_starts = false;
 };
 
 void PrintTo(const StreamCase& c, std::ostream* os) {
   *os << '(' << c.ways << ", " << c.seed;
   if (c.sets != 0) *os << ", " << c.sets << ", " << c.max_blocks;
+  if (c.chunk_starts) *os << ", chunk starts";
   *os << ')';
 }
 
@@ -174,12 +178,16 @@ TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   const double wb_bw = nvram.write_bw_nt.at(t) * cfg.nvram_write_efficiency;
 
   util::Xoshiro256 rng(param.seed);
-  const std::size_t span = 8 * cache.num_sets() * ways;  // blocks addressed
+  const std::size_t sets = cache.num_sets();
+  const std::size_t span = 8 * sets * ways;  // blocks addressed
+  const std::size_t chunks = (sets + 511) / 512;
   std::uint64_t hits = 0, clean = 0, dirty = 0;
   telemetry::DeviceTraffic fast, slow;
   double seconds = 0.0, want_seconds = 0.0;
   for (int i = 0; i < 5000; ++i) {
-    const std::size_t first = rng.bounded(span);
+    const std::size_t first =
+        param.chunk_starts ? rng.bounded(8) * sets + rng.bounded(chunks) * 512
+                           : rng.bounded(span);
     const std::size_t n = 1 + rng.bounded(param.max_blocks);
     std::size_t lo = rng.bounded(bs);
     std::size_t hi = rng.bounded(bs);
@@ -236,13 +244,19 @@ INSTANTIATE_TEST_SUITE_P(
                       // powers of two: every run wraps the set index.
                       StreamCase{1, 7, 67, 300}, StreamCase{1, 8, 3072, 300},
                       StreamCase{2, 9, 36, 300}, StreamCase{4, 10, 24, 300},
-                      StreamCase{8, 11, 5, 300}),
+                      StreamCase{8, 11, 5, 300},
+                      // Runs of 1-3000 blocks that cover and straddle whole
+                      // 512-set chunks, with a partial last chunk (1300
+                      // sets) and without (2048).
+                      StreamCase{1, 12, 1300, 3000},
+                      StreamCase{1, 13, 2048, 3000},
+                      StreamCase{1, 14, 1300, 3000, true}),
     [](const auto& info) {
       const StreamCase& c = info.param;
       const std::string geometry =
           c.sets == 0 ? "" : "sets" + std::to_string(c.sets) + "_";
       return geometry + "ways" + std::to_string(c.ways) + "_seed" +
-             std::to_string(c.seed);
+             std::to_string(c.seed) + (c.chunk_starts ? "_chunkstarts" : "");
     });
 
 }  // namespace

@@ -147,6 +147,40 @@ TEST_F(CacheFixture, StatRatesSumToOne) {
               1e-12);
 }
 
+TEST_F(CacheFixture, WholeChunkRunsAgreeWithPartialOnes) {
+  // 2048 sets in chunks of 512: runs of 512 blocks from set 0 cover chunk 0
+  // whole; the single block at set 100 touches part of it.
+  const std::size_t chunk = 512 * 64;
+  const std::size_t tag1 = 2048 * 64;  // same sets, the next tag
+  auto c = make(tag1);
+  const auto expect = [&](std::uint64_t hits, std::uint64_t clean,
+                          std::uint64_t dirty, int step) {
+    EXPECT_EQ(c.stats().hits, hits) << "step " << step;
+    EXPECT_EQ(c.stats().clean_misses, clean) << "step " << step;
+    EXPECT_EQ(c.stats().dirty_misses, dirty) << "step " << step;
+  };
+  c.access(0, chunk, /*write=*/true);  // cold: clean misses, chunk dirty
+  expect(0, 512, 0, 1);
+  c.access(0, chunk, false);  // all hit, dirty bits kept
+  expect(512, 512, 0, 2);
+  c.access(tag1 + 100 * 64, 64, false);  // evicts one dirty line
+  expect(512, 512, 1, 3);
+  c.access(0, chunk, false);  // 511 hits, set 100 now misses clean
+  expect(1023, 513, 1, 4);
+  c.access(tag1, chunk, false);  // set 100 is clean, the rest dirty
+  expect(1023, 514, 512, 5);
+  c.access(tag1, chunk, false);  // every line holds tag 1 clean
+  expect(1535, 514, 512, 6);
+  EXPECT_EQ(c.stats().accesses, 2561u);
+
+  // Every block touches DRAM; 1026 misses fill from NVRAM into DRAM; 512
+  // dirty victims go from DRAM back to NVRAM.
+  EXPECT_EQ(counters_.device(sim::kFast).bytes_read, 4 * chunk + 64 + chunk);
+  EXPECT_EQ(counters_.device(sim::kFast).bytes_written, chunk + 1026 * 64);
+  EXPECT_EQ(counters_.device(sim::kSlow).bytes_read, 1026u * 64);
+  EXPECT_EQ(counters_.device(sim::kSlow).bytes_written, chunk);
+}
+
 TEST_F(CacheFixture, NonPow2BlockSizeRejected) {
   CacheConfig cfg;
   cfg.capacity = 4 * util::KiB;

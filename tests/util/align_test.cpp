@@ -41,7 +41,7 @@ TEST(Align, AlignUpIsIdempotent) {
 }
 
 TEST(Align, PointerAlignment) {
-  alignas(64) char buf[128];
+  alignas(64) char buf[128] = {};
   EXPECT_TRUE(is_aligned(static_cast<void*>(buf), 64));
   EXPECT_FALSE(is_aligned(static_cast<void*>(buf + 1), 64));
 }

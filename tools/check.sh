@@ -2,7 +2,8 @@
 # tools/check.sh — the correctness gate for the data-management core.
 #
 # Stages, in order:
-#   asan     ASan+UBSan Debug build of the whole tree (Debug ⇒
+#   asan     ASan+UBSan Debug build of the whole tree with CA_WERROR=ON
+#            (every target builds warning-free; Debug ⇒
 #            CA_AUDIT_ENABLED, so every DataManager mutation boundary is
 #            audited during the tests), then the full ctest suite under it —
 #            including the randomized audit stress harness (ctest -R audit,
@@ -134,7 +135,7 @@ note "asan: ASan+UBSan Debug build (CA_AUDIT_ENABLED) + full ctest"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCA_SANITIZE=address,undefined \
-  -DCA_WERROR=OFF > /dev/null
+  -DCA_WERROR=ON > /dev/null
 cmake --build build-asan -j "$JOBS"
 ( cd build-asan && ctest -j "$JOBS" --output-on-failure )
 note "asan: audit suite under sanitizers (ctest -R audit)"
