@@ -64,9 +64,20 @@ Outcome run(const ModelSpec& spec, std::size_t dram_mib, std::size_t nvram_mib,
 
 int main(int argc, char** argv) {
   const bool smoke = has_flag(argc, argv, "--smoke");
+  // Large-model shape: VGG-416 keeps ~580 MiB resident at most; 768 MiB
+  // holds it with the headroom run() checks, in place of the paper's
+  // 1300 MiB.  Sweep: the small networks keep at most ~210 MiB resident.
+  const std::size_t large_dram = smoke ? 8 : 180;
+  const std::size_t large_nvram = smoke ? 96 : 768;
+  const auto sweep_drams = smoke ? std::vector<std::size_t>{24}
+                                 : std::vector<std::size_t>{36, 72, 144};
+  const std::size_t sweep_nvram = smoke ? 96 : 320;
   print_header("Ablation: asynchronous data movement",
                "Serialized (1-channel) vs multi-channel background mover vs "
-               "synchronous copies vs the Fig. 7 projection.");
+               "synchronous copies vs the Fig. 7 projection.",
+               "large-model shape " +
+                   tier_config({large_dram}, large_nvram) + "; sweep " +
+                   tier_config(sweep_drams, sweep_nvram));
 
   BenchReport report("ablation_async");
   // One outcome as three rows: steady-state simulated seconds, host wall
@@ -85,17 +96,13 @@ int main(int argc, char** argv) {
   {
     const ModelSpec spec =
         smoke ? ModelSpec::vgg_tiny() : ModelSpec::vgg416_large();
-    const std::size_t dram = smoke ? 8 : 180;
-    // VGG-416 keeps ~580 MiB resident at most; 768 MiB holds it with the
-    // headroom run() checks, in place of the paper's 1300 MiB.
-    const std::size_t nvram = smoke ? 96 : 768;
     const int iters = smoke ? 1 : 2;
     std::printf("--- %s (large-model shape%s) ---\n", spec.name.c_str(),
                 smoke ? ", smoke" : "");
 
-    const Outcome sync = run(spec, dram, nvram, false, 4, iters);
-    const Outcome serial = run(spec, dram, nvram, true, 1, iters);
-    const Outcome multi = run(spec, dram, nvram, true, 4, iters);
+    const Outcome sync = run(spec, large_dram, large_nvram, false, 4, iters);
+    const Outcome serial = run(spec, large_dram, large_nvram, true, 1, iters);
+    const Outcome multi = run(spec, large_dram, large_nvram, true, 4, iters);
     const double projection =
         sync.steady.seconds - sync.steady.movement_seconds;
 
@@ -138,15 +145,11 @@ int main(int argc, char** argv) {
     std::vector<std::vector<std::string>> rows = {
         {"DRAM (MiB)", "sync", "serialized", "multi", "projection",
          "overlap recovered"}};
-    const auto drams = smoke ? std::vector<std::size_t>{24}
-                             : std::vector<std::size_t>{36, 72, 144};
-    // The small networks keep at most ~210 MiB resident.
-    const std::size_t nvram = smoke ? 96 : 320;
     const int iters = smoke ? 1 : 2;
-    for (const std::size_t dram : drams) {
-      const Outcome sync = run(spec, dram, nvram, false, 4, iters);
-      const Outcome serial = run(spec, dram, nvram, true, 1, iters);
-      const Outcome multi = run(spec, dram, nvram, true, 4, iters);
+    for (const std::size_t dram : sweep_drams) {
+      const Outcome sync = run(spec, dram, sweep_nvram, false, 4, iters);
+      const Outcome serial = run(spec, dram, sweep_nvram, true, 1, iters);
+      const Outcome multi = run(spec, dram, sweep_nvram, true, 4, iters);
       const double projection =
           sync.steady.seconds - sync.steady.movement_seconds;
       const double denom = sync.steady.seconds - projection;

@@ -86,17 +86,37 @@ inline RunResult run_training(const RunConfig& cfg) {
   return result;
 }
 
-inline void print_header(const char* figure, const char* description) {
+/// "DRAM <d1/d2/...> MiB, NVRAM <n> MiB": the tier sizes a bench runs on,
+/// for the Config: line of print_header.
+inline std::string tier_config(const std::vector<std::size_t>& dram_mib,
+                               std::size_t nvram_mib) {
+  std::string out = "DRAM ";
+  for (std::size_t i = 0; i < dram_mib.size(); ++i) {
+    if (i > 0) out += '/';
+    out += std::to_string(dram_mib[i]);
+  }
+  return out + " MiB, NVRAM " + std::to_string(nvram_mib) + " MiB";
+}
+
+/// The Config: text of a bench on the paper's Cascade Lake tiers.
+inline std::string default_config() {
   const auto platform = sim::Platform::cascade_lake_default();
+  return "DRAM " +
+         util::format_bytes(platform.spec(sim::kFast).capacity) +
+         ", NVRAM " +
+         util::format_bytes(platform.spec(sim::kSlow).capacity) +
+         " (2LM modes: DRAM acts as the hardware cache)";
+}
+
+/// `config` names the tier sizes the bench runs on.
+inline void print_header(const char* figure, const char* description,
+                         const std::string& config = default_config()) {
   std::printf("=== %s ===\n%s\n", figure, description);
   std::printf(
       "Platform: %s\n"
-      "Config: DRAM %s, NVRAM %s (2LM modes: DRAM acts as the hardware "
-      "cache)\nAll times are simulated seconds; reproduce shapes, not "
+      "Config: %s\nAll times are simulated seconds; reproduce shapes, not "
       "absolute numbers.\n\n",
-      platform.scale_note,
-      util::format_bytes(platform.spec(sim::kFast).capacity).c_str(),
-      util::format_bytes(platform.spec(sim::kSlow).capacity).c_str());
+      sim::Platform::cascade_lake_default().scale_note, config.c_str());
 }
 
 /// The output directory: the first non-flag argument, or nullptr.

@@ -1,6 +1,6 @@
 // Microbenchmarks for the free-list allocator: allocation/free throughput,
-// fit-policy comparison, address-order walking (the evictfrom primitive),
-// and behaviour under fragmentation.
+// a mixed first-fit workload, address-order walking (the evictfrom
+// primitive), and behaviour under fragmentation.
 //
 // Both parts write BENCH_allocator.json (`--smoke`: tiny counts and shapes;
 // `--trace`: the trace replay alone):
@@ -67,35 +67,29 @@ void run_cases(BenchReport& report, bool smoke) {
   // A 60/40 alloc/free mix of 1 B..32 KiB requests; each rep times 2000
   // calls on a fresh heap, so the row is seconds per 2000-call run.
   constexpr int kMixedOps = 2000;
-  for (const auto fit : {FreeListAllocator::Fit::kFirstFit,
-                         FreeListAllocator::Fit::kBestFit}) {
-    const double s = best_seconds(smoke ? 1 : 50, [&] {
-      FreeListAllocator alloc(16 * util::MiB, 64, fit);
-      util::Xoshiro256 rng(42);
-      std::vector<std::size_t> live;
-      WallTimer wall;
-      for (int i = 0; i < kMixedOps; ++i) {
-        if (live.empty() || rng.uniform() < 0.6) {
-          if (auto off = alloc.allocate(1 + rng.bounded(32 * 1024))) {
-            live.push_back(*off);
-          }
-        } else {
-          const std::size_t idx = rng.bounded(live.size());
-          alloc.free(live[idx]);
-          live[idx] = live.back();
-          live.pop_back();
+  const double mixed = best_seconds(smoke ? 1 : 50, [&] {
+    FreeListAllocator alloc(16 * util::MiB);
+    util::Xoshiro256 rng(42);
+    std::vector<std::size_t> live;
+    WallTimer wall;
+    for (int i = 0; i < kMixedOps; ++i) {
+      if (live.empty() || rng.uniform() < 0.6) {
+        if (auto off = alloc.allocate(1 + rng.bounded(32 * 1024))) {
+          live.push_back(*off);
         }
+      } else {
+        const std::size_t idx = rng.bounded(live.size());
+        alloc.free(live[idx]);
+        live[idx] = live.back();
+        live.pop_back();
       }
-      do_not_optimize(alloc.stats().free_bytes);
-      return wall.seconds();
-    });
-    const std::string name = fit == FreeListAllocator::Fit::kFirstFit
-                                 ? "BM_MixedFirstFit"
-                                 : "BM_MixedBestFit";
-    add(name, s);
-    report.add(name + " [calls/s]", kMixedOps / s, "calls/s",
-               Better::kHigher);
-  }
+    }
+    do_not_optimize(alloc.stats().free_bytes);
+    return wall.seconds();
+  });
+  add("BM_MixedFirstFit", mixed);
+  report.add("BM_MixedFirstFit [calls/s]", kMixedOps / mixed, "calls/s",
+             Better::kHigher);
 
   {
     FreeListAllocator alloc(16 * util::MiB);
@@ -208,9 +202,8 @@ struct ReplayResult {
 /// call individually (for the p99) and the whole run (for ops/sec).
 template <class Alloc>
 ReplayResult replay_trace(const std::vector<TraceOp>& ops,
-                          std::size_t slot_count, std::size_t heap_bytes,
-                          typename Alloc::Fit fit) {
-  Alloc heap(heap_bytes, 64, fit);
+                          std::size_t slot_count, std::size_t heap_bytes) {
+  Alloc heap(heap_bytes);
   std::vector<std::size_t> slots(slot_count, 0);
   std::vector<double> alloc_s;
   alloc_s.reserve(ops.size());
@@ -260,10 +253,6 @@ void time_arena_construct(BenchReport& report, bool smoke) {
   report.add("arena construct", median, "s", Better::kLower);
 }
 
-const char* fit_name(FreeListAllocator::Fit fit) {
-  return fit == FreeListAllocator::Fit::kFirstFit ? "firstfit" : "bestfit";
-}
-
 void run_trace(BenchReport& report, bool smoke) {
   std::printf("=== allocator DNN trace (%s) ===\n",
               smoke ? "smoke" : "full");
@@ -290,48 +279,37 @@ void run_trace(BenchReport& report, bool smoke) {
   std::printf("%-10s %-16s %12s %12s %10s\n", "fit", "allocator", "ops/sec",
               "p99 alloc", "speedup");
 
-  double firstfit_speedup = 0.0;
-  for (const auto fit : {FreeListAllocator::Fit::kFirstFit,
-                         FreeListAllocator::Fit::kBestFit}) {
-    const auto ref_fit = fit == FreeListAllocator::Fit::kFirstFit
-                             ? ReferenceAllocator::Fit::kFirstFit
-                             : ReferenceAllocator::Fit::kBestFit;
-    const auto oldr =
-        replay_trace<ReferenceAllocator>(ops, slot_count, heap_bytes, ref_fit);
-    const auto newr =
-        replay_trace<FreeListAllocator>(ops, slot_count, heap_bytes, fit);
-    const double speedup =
-        oldr.total_seconds > 0.0 ? oldr.total_seconds / newr.total_seconds
-                                 : 0.0;
-    if (fit == FreeListAllocator::Fit::kFirstFit) firstfit_speedup = speedup;
-    std::printf("%-10s %-16s %12.0f %10.2fus\n", fit_name(fit),
-                "old(reference)", oldr.ops_per_sec(),
-                oldr.p99_alloc_seconds * 1e6);
-    std::printf("%-10s %-16s %12.0f %10.2fus %9.1fx\n", fit_name(fit),
-                "new(binned)", newr.ops_per_sec(),
-                newr.p99_alloc_seconds * 1e6, speedup);
-    for (const auto* side : {"old", "new"}) {
-      const auto& r = side[0] == 'o' ? oldr : newr;
-      const std::string label =
-          std::string("trace ") + fit_name(fit) + " " + side;
-      report.add(label, r.total_seconds, "s", Better::kLower);
-      report.add("ops/sec: " + label, r.ops_per_sec(), "ops/s",
-                 Better::kHigher);
-      report.add("p99 alloc s: " + label, r.p99_alloc_seconds, "s",
-                 Better::kLower);
-    }
-    report.add(std::string("speedup: DNN trace alloc/free, ") +
-                   fit_name(fit) + " old vs new",
-               speedup, "ratio", Better::kHigher);
+  const auto oldr =
+      replay_trace<ReferenceAllocator>(ops, slot_count, heap_bytes);
+  const auto newr =
+      replay_trace<FreeListAllocator>(ops, slot_count, heap_bytes);
+  const double speedup =
+      oldr.total_seconds > 0.0 ? oldr.total_seconds / newr.total_seconds
+                               : 0.0;
+  std::printf("%-10s %-16s %12.0f %10.2fus\n", "firstfit", "old(reference)",
+              oldr.ops_per_sec(), oldr.p99_alloc_seconds * 1e6);
+  std::printf("%-10s %-16s %12.0f %10.2fus %9.1fx\n", "firstfit",
+              "new(binned)", newr.ops_per_sec(),
+              newr.p99_alloc_seconds * 1e6, speedup);
+  for (const auto* side : {"old", "new"}) {
+    const auto& r = side[0] == 'o' ? oldr : newr;
+    const std::string label = std::string("trace firstfit ") + side;
+    report.add(label, r.total_seconds, "s", Better::kLower);
+    report.add("ops/sec: " + label, r.ops_per_sec(), "ops/s",
+               Better::kHigher);
+    report.add("p99 alloc s: " + label, r.p99_alloc_seconds, "s",
+               Better::kLower);
   }
+  report.add("speedup: DNN trace alloc/free, firstfit old vs new", speedup,
+             "ratio", Better::kHigher);
 
   time_arena_construct(report, smoke);
 
-  if (!smoke && firstfit_speedup < 5.0) {
+  if (!smoke && speedup < 5.0) {
     std::printf(
         "\nWARNING: first-fit trace speedup %.1fx is below the 5x "
         "acceptance target\n",
-        firstfit_speedup);
+        speedup);
   }
 }
 

@@ -8,16 +8,20 @@ using namespace ca::bench;
 
 namespace {
 
+// The DRAM tier holds the largest model (~533 MiB) with room to spare.
+constexpr std::size_t kDramMib = 768;
+constexpr std::size_t kNvramMib = 64;
+
 /// Appends one table row; returns false if the run spilled to NVRAM.
 bool row(std::vector<std::vector<std::string>>& rows, const ModelSpec& spec,
          const char* klass) {
-  // Measure the true footprint: CA:LM with a DRAM tier that holds the
-  // largest model (~533 MiB) with room to spare, so nothing spills; peak
-  // resident bytes is the minimum memory needed to train.
+  // Measure the true footprint: CA:LM with a DRAM tier large enough that
+  // nothing spills; peak resident bytes is the minimum memory needed to
+  // train.
   HarnessConfig hc;
   hc.mode = Mode::kCaLM;
-  hc.dram_bytes = 768 * util::MiB;
-  hc.nvram_bytes = 64 * util::MiB;
+  hc.dram_bytes = kDramMib * util::MiB;
+  hc.nvram_bytes = kNvramMib * util::MiB;
   hc.backend = dnn::Backend::kSim;
   hc.compute_efficiency = spec.compute_efficiency;
   hc.conv_read_passes = spec.conv_read_passes;
@@ -44,7 +48,8 @@ int main(int argc, char** argv) {
   print_header("Table III",
                "CNN models used as benchmarks; footprint is the measured "
                "minimum memory for one training iteration.\n"
-               "Paper: large ~520-530, small 170-180 (GB there, MiB here).");
+               "Paper: large ~520-530, small 170-180 (GB there, MiB here).",
+               tier_config({kDramMib}, kNvramMib));
 
   std::vector<std::vector<std::string>> rows = {
       {"class", "model", "batch", "footprint", "params", "kernels/iter"}};

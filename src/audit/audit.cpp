@@ -191,19 +191,13 @@ AuditReport verify(const mem::FreeListAllocator& alloc) {
                    " does not match any free block of the tiling");
   }
 
-  // alloc.bin-order -- each bin's list keeps the order the fit policy
-  // depends on: address order under first-fit, (size, offset) order under
-  // best-fit.  Out-of-order entries silently break placement parity.
+  // alloc.bin-order -- each bin's list keeps the address order first-fit
+  // depends on.  Out-of-order entries silently break placement parity.
   for (const auto& bin : bins) {
     for (std::size_t i = 1; i < bin.entries.size(); ++i) {
       const auto& p = bin.entries[i - 1];
       const auto& e = bin.entries[i];
-      const bool ok =
-          alloc.fit() == mem::FreeListAllocator::Fit::kFirstFit
-              ? p.offset < e.offset
-              : (p.size < e.size ||
-                 (p.size == e.size && p.offset < e.offset));
-      if (!ok) {
+      if (p.offset >= e.offset) {
         report.add("alloc.bin-order",
                    "bin " + std::to_string(bin.bin) + " entry " +
                        std::to_string(e.offset) + "+" +

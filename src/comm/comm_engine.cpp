@@ -8,10 +8,17 @@
 
 namespace ca::comm {
 
+namespace {
+
+/// Host threads doing the real summation (never affects modeled times).
+constexpr std::size_t kPoolThreads = 2;
+
+}  // namespace
+
 CommEngine::CommEngine(CommConfig config)
     : config_(config),
       net_(config_.workers, config_.link),
-      pool_(std::max<std::size_t>(1, config_.pool_threads)) {
+      pool_(kPoolThreads) {
   CA_CHECK(config_.workers >= 1, "comm engine needs at least one worker");
 }
 

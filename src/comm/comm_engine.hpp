@@ -49,8 +49,6 @@ class CommTestPeer;
 struct CommConfig {
   std::size_t workers = 2;
   LinkModel link = LinkModel::ethernet_scaled();
-  /// Host threads doing the real summation (never affects modeled times).
-  std::size_t pool_threads = 2;
   /// Force one algorithm for every bucket; unset picks per bucket by size
   /// (the ring/tree crossover, allreduce.hpp).
   std::optional<Algorithm> force_algorithm;

@@ -32,8 +32,8 @@ class KernelLaunch {
   }
 
   /// Stage (hints), pin, run `fn()`, unpin.  Inside `fn`, use
-  /// CachedArray::with_read / with_write or `resolve` pointers; arguments
-  /// registered here cannot be displaced meanwhile.
+  /// CachedArray::with_read / with_write or Runtime::access spans;
+  /// arguments registered here cannot be displaced meanwhile.
   template <typename Fn>
   decltype(auto) run(Fn&& fn) {
     std::vector<dm::Object*> objects;

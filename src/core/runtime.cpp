@@ -2,10 +2,18 @@
 
 #include <algorithm>
 
-#include "ptrprov/ptrprov.hpp"
 #include "util/error.hpp"
 
 namespace ca::core {
+
+namespace {
+
+/// Modeled cost of one collection: base pause plus per-collected-object
+/// cost, charged to TimeCategory::kGc.
+constexpr double kGcBaseSeconds = 2e-3;
+constexpr double kGcPerObjectSeconds = 2e-5;
+
+}  // namespace
 
 Runtime::Runtime(sim::Platform platform, const PolicyFactory& make_policy,
                  RuntimeOptions options)
@@ -73,24 +81,6 @@ void Runtime::end_kernel(std::span<dm::Object* const> args) {
   policy_->end_kernel();
 }
 
-std::byte* Runtime::resolve(dm::Object& object, bool write,
-                            std::source_location loc) {
-  CA_CHECK(object.pinned(),
-           "resolve outside a begin_kernel/end_kernel bracket");
-  dm::Region* primary = dm_->getprimary(object);
-  CA_CHECK(primary != nullptr, "object has no primary region");
-  // If an asynchronous fill is still in flight, stall for the remainder
-  // (this is the only synchronous cost async movement leaves behind).
-  dm_->wait_ready(*primary);
-  if (write) dm_->markdirty(*primary);
-  // Sanctioned raw escape: the returned pointer leaves the provenance
-  // net, so record the extraction (and flag it if the pin check above
-  // was somehow bypassed).
-  ptrprov::on_escape(primary, primary->generation(), object.pin_count(),
-                     object.name().c_str(), loc);
-  return primary->data();
-}
-
 void Runtime::destroy_now(dm::Object& object) {
   policy_->on_destroy(object);
   dm_->destroy_object(&object);
@@ -109,8 +99,7 @@ std::size_t Runtime::gc_collect() {
   gc_.objects_collected += n;
   gc_.bytes_collected += bytes;
   heap_->clock.advance(
-      options_.gc_base_seconds +
-          options_.gc_per_object_seconds * static_cast<double>(n),
+      kGcBaseSeconds + kGcPerObjectSeconds * static_cast<double>(n),
       sim::TimeCategory::kGc);
   return bytes;
 }

@@ -38,11 +38,6 @@ struct RuntimeOptions {
   /// heap capacity (checked at allocation).  <= 0 disables the trigger;
   /// pressure-driven collection on allocation failure always remains.
   double gc_trigger_fraction = 0.85;
-
-  /// Modeled cost of one collection: base pause plus per-collected-object
-  /// cost, charged to TimeCategory::kGc.
-  double gc_base_seconds = 2e-3;
-  double gc_per_object_seconds = 2e-5;
 };
 
 struct GcStats {
@@ -104,19 +99,10 @@ class Runtime {
 
   // --- data access -------------------------------------------------------
 
-  /// Resolve the object indirection for kernel execution.  The object must
-  /// be pinned (between begin_kernel/end_kernel) so the pointer stays
-  /// valid.  Write access marks the primary dirty.  This is the sanctioned
-  /// raw-pointer escape: ca::ptrprov records the call site and flags any
-  /// resolve against an unpinned object.
-  [[nodiscard]] std::byte* resolve(
-      dm::Object& object, bool write,
-      std::source_location loc = std::source_location::current());
-
-  /// The provenance-tracked accessor (preferred over resolve): pins the
-  /// object for the span's lifetime and checks every dereference against
-  /// the relocation generation.  Composes with kernel brackets (pins are
-  /// counted).
+  /// The provenance-tracked accessor: pins the object for the span's
+  /// lifetime, marks the primary dirty on write, and checks every
+  /// dereference against the relocation generation.  Composes with kernel
+  /// brackets (pins are counted).
   [[nodiscard]] dm::PinnedSpan access(
       dm::Object& object, bool write,
       std::source_location loc = std::source_location::current()) {

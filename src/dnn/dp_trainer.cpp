@@ -16,14 +16,12 @@ Trainer::Trainer(TrainerConfig config)
           sim::Platform::cascade_lake_scaled(config_.dram_bytes,
                                              config_.nvram_bytes))),
       comm_(comm::CommConfig{config_.workers, config_.link,
-                             config_.comm_pool_threads,
                              config_.force_algorithm}) {
   CA_CHECK(config_.workers >= 1, "dp::Trainer needs at least one worker");
   CA_CHECK(config_.bucket_bytes > 0, "bucket capacity must be positive");
 
   policy::LruPolicyConfig pcfg;
   pcfg.min_migratable = config_.min_migratable;
-  pcfg.gradient_aware = true;
   const auto factory = [pcfg](dm::DataManager& dm) {
     return std::make_unique<policy::LruPolicy>(dm, pcfg);
   };
@@ -212,7 +210,7 @@ StepMetrics Trainer::step() {
     W.events.clear();
     // The reduced result is applied: the buckets are dead until the next
     // backward pass.  retire (optimization M) frees the DRAM now; a
-    // non-eager policy would archive instead and let gradient_aware
+    // non-eager policy would archive instead and let LruPolicy's gradient
     // demotion move them off the fast tier.
     for (dm::Object* obj : W.buckets) W.rt->retire(*obj);
     W.buckets.clear();

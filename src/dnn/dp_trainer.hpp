@@ -15,8 +15,8 @@
 // (Engine::set_grad_ready_hook, fired per parameter as the reverse tape
 // walk passes its last use), into fixed-capacity buckets.  Buckets are
 // first-class DM objects of class ObjectClass::kGradient -- born DRAM-hot
-// (LruPolicy gradient_aware) and retired the moment the reduced result is
-// applied.  A bucket's allreduce launches, in overlap mode, at the
+// (LruPolicy's class-aware placement) and retired the moment the reduced
+// result is applied.  A bucket's allreduce launches, in overlap mode, at the
 // simulated second its last gradient became ready -- while earlier layers
 // are still running backward -- and the optimizer waits only for comm the
 // backward pass could not hide (the exposed remainder).  The serialized
@@ -61,7 +61,6 @@ struct TrainerConfig {
 
   comm::LinkModel link = comm::LinkModel::ethernet_scaled();
   std::optional<comm::Algorithm> force_algorithm;
-  std::size_t comm_pool_threads = 2;
 
   /// Shared-heap geometry (all K tenants share these devices).
   std::size_t dram_bytes = 512 * util::MiB;

@@ -11,6 +11,11 @@ namespace ca::dnn {
 
 namespace {
 
+/// Peak arithmetic rate in flops per simulated second.  Together with a
+/// per-model efficiency this calibrates where kernels sit on the roofline
+/// (see DESIGN.md §6).
+constexpr double kFlopRate = 2.9e9;
+
 /// Elementwise kernels are memory-bound by construction; give them full
 /// arithmetic efficiency so the roofline's memory term dominates.
 constexpr double kEltwiseEfficiency = 1.0;
@@ -19,7 +24,6 @@ constexpr double kEltwiseEfficiency = 1.0;
 
 Engine::Engine(core::Runtime& rt, ExecContext& ctx, EngineConfig config)
     : rt_(&rt), ctx_(&ctx), config_(config) {
-  CA_CHECK(config_.flop_rate > 0.0, "flop rate must be positive");
   CA_CHECK(config_.compute_efficiency > 0.0, "efficiency must be positive");
 }
 
@@ -110,7 +114,7 @@ void Engine::execute_args(const std::vector<KernelArg>& args, double flops,
     accesses.push_back({a.tensor.object(), touched, a.write, a.passes});
   }
   const double mem_s = ctx_->charge_memory(accesses);
-  const double comp_s = flops / (config_.flop_rate * efficiency);
+  const double comp_s = flops / (kFlopRate * efficiency);
   rt_->clock().advance(std::max(mem_s, comp_s), sim::TimeCategory::kCompute);
   ++stats_.kernels;
   stats_.compute_seconds += comp_s;
@@ -158,14 +162,12 @@ void Engine::execute(const std::vector<Tensor>& reads,
 }
 
 void Engine::record(TapeEntry entry) {
-  if (config_.issue_archive) {
-    // §III-E: after the forward kernel, archive weights, bias and previous
-    // activations -- they will not be used again until the backward pass.
-    for (const auto& t : entry.inputs) {
-      if (t.object() != nullptr) {
-        rt_->archive(*t.object());
-        ++stats_.archives_issued;
-      }
+  // §III-E: after the forward kernel, archive weights, bias and previous
+  // activations -- they will not be used again until the backward pass.
+  for (const auto& t : entry.inputs) {
+    if (t.object() != nullptr) {
+      rt_->archive(*t.object());
+      ++stats_.archives_issued;
     }
   }
   tape_.push_back(std::move(entry));

@@ -46,21 +46,14 @@ enum class Backend {
 struct EngineConfig {
   Backend backend = Backend::kReal;
 
-  /// Issue `archive` after forward kernels (§III-E).
-  bool issue_archive = true;
-
   /// Issue `retire` at last use on the backward pass (optimization M).
   bool issue_retire = true;
 
-  /// Peak arithmetic rate in flops per simulated second.  Together with a
-  /// per-model efficiency this calibrates where kernels sit on the
-  /// roofline (see DESIGN.md §6).
-  double flop_rate = 2.9e9;
-
-  /// Fraction of flop_rate the model's conv/dense kernels achieve.  Higher
-  /// efficiency means compute finishes sooner and kernels become
-  /// memory-bound -- the paper's "VGG kernels are more sensitive to read
-  /// bandwidth" (§V-c) is a high-efficiency configuration.
+  /// Fraction of the peak flop rate (engine.cpp) the model's conv/dense
+  /// kernels achieve.  Higher efficiency means compute finishes sooner and
+  /// kernels become memory-bound -- the paper's "VGG kernels are more
+  /// sensitive to read bandwidth" (§V-c) is a high-efficiency
+  /// configuration.
   double compute_efficiency = 0.35;
 
   /// Passes conv/dense kernels make over their read arguments (see

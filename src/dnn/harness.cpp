@@ -41,8 +41,7 @@ Harness::Harness(const HarnessConfig& config) : config_(config) {
       cfg.eager_retire = eager;
       cfg.prefetch = config.mode == Mode::kCaLMP;
       cfg.min_migratable = config.min_migratable;
-      cfg.async_prefetch = config.async_movement;
-      cfg.async_writeback = config.async_movement;
+      cfg.async_movement = config.async_movement;
       if (config.async_movement) cfg.prefetch_distance = config.prefetch_distance;
       factory = [cfg](dm::DataManager& dm) {
         return std::make_unique<policy::LruPolicy>(dm, cfg);
@@ -67,9 +66,7 @@ Harness::Harness(const HarnessConfig& config) : config_(config) {
 
   EngineConfig ec;
   ec.backend = config.backend;
-  ec.issue_archive = true;
   ec.issue_retire = eager;
-  ec.flop_rate = config.flop_rate;
   ec.compute_efficiency = config.compute_efficiency;
   ec.conv_read_passes = config.conv_read_passes;
   ec.kernel_threads = config.kernel_threads;

@@ -66,7 +66,6 @@ struct HarnessConfig {
   Backend backend = Backend::kSim;
   double compute_efficiency = 0.35;  ///< usually from the ModelSpec
   int conv_read_passes = 2;          ///< usually from the ModelSpec
-  double flop_rate = 2.9e9;
   std::size_t kernel_threads = 8;
 
   /// LruPolicy small-object threshold (CA modes only); see LruPolicyConfig.

@@ -7,11 +7,10 @@
 namespace ca::mem {
 
 FreeListAllocator::FreeListAllocator(std::size_t capacity,
-                                     std::size_t alignment, Fit fit)
+                                     std::size_t alignment)
     : capacity_(util::align_down(capacity, alignment)),
       alignment_(alignment),
-      shift_(static_cast<std::size_t>(std::bit_width(alignment)) - 1),
-      fit_(fit) {
+      shift_(static_cast<std::size_t>(std::bit_width(alignment)) - 1) {
   CA_CHECK(util::is_pow2(alignment), "alignment must be a power of two");
   CA_CHECK(capacity_ > 0, "capacity too small for the requested alignment");
   start_bits_.assign(((capacity_ >> shift_) + 63) / 64, 0);
@@ -110,21 +109,10 @@ void FreeListAllocator::bin_link(std::uint32_t i) {
   BinList& bl = bins_[b];
 
   // Find the entry to insert after: walk back from the tail, which is the
-  // common case (frees at ascending addresses, growing sizes) and O(1) for
-  // the exact bins under best-fit (all sizes equal, ties by offset, and
-  // coalescing keeps churn low).
+  // common case (frees at ascending addresses).
   std::uint32_t after = bl.tail;
-  if (fit_ == Fit::kFirstFit) {
-    while (after != kNil && nodes_[after].offset > n.offset) {
-      after = nodes_[after].bin_prev;
-    }
-  } else {
-    while (after != kNil &&
-           (nodes_[after].size > n.size ||
-            (nodes_[after].size == n.size &&
-             nodes_[after].offset > n.offset))) {
-      after = nodes_[after].bin_prev;
-    }
+  while (after != kNil && nodes_[after].offset > n.offset) {
+    after = nodes_[after].bin_prev;
   }
   if (after == kNil) {
     n.bin_prev = kNil;
@@ -174,10 +162,8 @@ std::uint32_t FreeListAllocator::find_fit(std::size_t size,
   std::uint32_t best = kNil;
   from_home = false;
 
-  // Home bin: under first-fit the list is address-ordered, so the first
-  // fitting entry is the lowest-address fit within the class; under
-  // best-fit it is (size, offset)-ordered, so the first entry with
-  // size >= request is the smallest fit with the lowest-address tie.
+  // Home bin: the list is address-ordered, so the first fitting entry is
+  // the lowest-address fit within the class.
   for (std::uint32_t i = bins_[home].head; i != kNil;
        i = nodes_[i].bin_next) {
     if (nodes_[i].size >= size) {
@@ -187,18 +173,9 @@ std::uint32_t FreeListAllocator::find_fit(std::size_t size,
     }
   }
 
-  if (fit_ == Fit::kBestFit) {
-    if (best != kNil) return best;
-    // Every block in a higher bin is larger than every block in the home
-    // bin, so the head of the first occupied higher bin is the global
-    // best fit.
-    const std::size_t b = next_occupied_bin(home);
-    return b < kBinCount ? bins_[b].head : kNil;
-  }
-
-  // First-fit: the home candidate competes against the heads of all
-  // occupied higher bins (each head is that bin's lowest address, and
-  // every block there fits); the lowest address wins globally.
+  // The home candidate competes against the heads of all occupied higher
+  // bins (each head is that bin's lowest address, and every block there
+  // fits); the lowest address wins globally.
   for (std::size_t b = next_occupied_bin(home); b < kBinCount;
        b = next_occupied_bin(b)) {
     const std::uint32_t h = bins_[b].head;
@@ -410,8 +387,7 @@ FreeListAllocator::Stats FreeListAllocator::stats() const {
   s.bin_spill_allocs = bin_spill_allocs_;
 
   // Largest free block: the highest occupied bin holds it.  Exact bins are
-  // single-size (O(1)); a best-fit list's tail is its maximum; a first-fit
-  // coarse bin needs one short list scan.
+  // single-size (O(1)); a coarse bin needs one short list scan.
   for (std::size_t w = kBinWords; w-- > 0;) {
     if (bin_bitmap_[w] == 0) continue;
     const std::size_t b =
@@ -419,8 +395,6 @@ FreeListAllocator::Stats FreeListAllocator::stats() const {
                              bin_bitmap_[w])));
     if (b < kExactBins) {
       s.largest_free_block = (b + 1) << shift_;
-    } else if (fit_ == Fit::kBestFit) {
-      s.largest_free_block = nodes_[bins_[b].tail].size;
     } else {
       for (std::uint32_t i = bins_[b].head; i != kNil;
            i = nodes_[i].bin_next) {
@@ -557,7 +531,7 @@ void FreeListAllocator::check_invariants() const {
   CA_CHECK(free_blocks == free_blocks_, "free block count drifted");
   CA_CHECK(free_bytes + alloc_bytes == capacity_, "byte accounting drifted");
 
-  // Bin walk: membership, per-fit ordering, link mutuality, bitmap.
+  // Bin walk: membership, address ordering, link mutuality, bitmap.
   std::size_t binned_blocks = 0;
   for (std::size_t b = 0; b < kBinCount; ++b) {
     const BinList& bl = bins_[b];
@@ -573,16 +547,8 @@ void FreeListAllocator::check_invariants() const {
       CA_CHECK(bin_for_units(n.size >> shift_) == b,
                "bin holds a block of a different size class");
       CA_CHECK(n.bin_prev == bprev, "bin prev link broken");
-      if (bprev != kNil) {
-        const Node& p = nodes_[bprev];
-        if (fit_ == Fit::kFirstFit) {
-          CA_CHECK(p.offset < n.offset, "first-fit bin not address-ordered");
-        } else {
-          CA_CHECK(p.size < n.size ||
-                       (p.size == n.size && p.offset < n.offset),
-                   "best-fit bin not (size, offset)-ordered");
-        }
-      }
+      CA_CHECK(bprev == kNil || nodes_[bprev].offset < n.offset,
+               "first-fit bin not address-ordered");
       ++binned_blocks;
       bprev = i;
     }

@@ -29,16 +29,14 @@
 //   * A block-start bitmap (one bit per alignment unit of the heap)
 //     answers the predecessor query `for_blocks_from` needs.
 //
-// Placement semantics are bit-identical to the pre-binning allocator
-// (mem::ReferenceAllocator, kept as the differential-fuzz oracle):
-// kFirstFit returns the lowest-address free block that fits, kBestFit the
-// smallest fitting free block with lowest-address ties.  To make that exact
-// with bins, each bin's list is kept address-ordered under kFirstFit and
-// (size, offset)-ordered under kBestFit; a fitting candidate from the
-// request's home bin then competes only against the *heads* of the
-// occupied higher bins (every block there fits by construction), so the
-// global scan is O(home-bin prefix + occupied bins), O(1) amortized on the
-// exact classes.
+// Placement is first-fit, bit-identical to the pre-binning allocator
+// (mem::ReferenceAllocator, kept as the differential-fuzz oracle): the
+// lowest-address free block that fits.  First-fit matches the address-order
+// walk of `evictfrom`.  To make that exact with bins, each bin's list is
+// kept address-ordered; a fitting candidate from the request's home bin
+// then competes only against the *heads* of the occupied higher bins (every
+// block there fits by construction), so the global scan is
+// O(home-bin prefix + occupied bins), O(1) amortized on the exact classes.
 #pragma once
 
 #include <algorithm>
@@ -60,11 +58,6 @@ namespace ca::mem {
 
 class FreeListAllocator {
  public:
-  enum class Fit {
-    kFirstFit,  ///< lowest-address free block that fits
-    kBestFit,   ///< smallest free block that fits (ties: lowest address)
-  };
-
   /// Read-only view of one block, in the tiling of the heap.
   struct BlockView {
     std::size_t offset = 0;
@@ -117,15 +110,13 @@ class FreeListAllocator {
   /// `capacity` bytes of heap; all blocks are multiples of `alignment`
   /// (power of two) so every returned offset is aligned.
   explicit FreeListAllocator(std::size_t capacity,
-                             std::size_t alignment = 64,
-                             Fit fit = Fit::kFirstFit);
+                             std::size_t alignment = 64);
 
   FreeListAllocator(const FreeListAllocator&) = delete;
   FreeListAllocator& operator=(const FreeListAllocator&) = delete;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t alignment() const noexcept { return alignment_; }
-  [[nodiscard]] Fit fit() const noexcept { return fit_; }
 
   /// Allocate `size` bytes (rounded up to the alignment).  Returns the
   /// block offset, or nullopt if no free block fits.  Never throws for
@@ -294,7 +285,7 @@ class FreeListAllocator {
   /// resolves (unit 0 is always a block start).
   [[nodiscard]] std::uint32_t block_at_or_before(std::size_t pos) const;
 
-  /// The fit target for `size` (aligned), or kNil.  Sets `from_home` when
+  /// The first-fit target for `size` (aligned), or kNil.  Sets `from_home` when
   /// the winner came out of the request's home bin.
   [[nodiscard]] std::uint32_t find_fit(std::size_t size,
                                        bool& from_home) const;
@@ -302,7 +293,6 @@ class FreeListAllocator {
   std::size_t capacity_;
   std::size_t alignment_;
   std::size_t shift_;  ///< log2(alignment_)
-  Fit fit_;
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;  ///< recycled node indices

@@ -7,10 +7,9 @@
 namespace ca::mem {
 
 ReferenceAllocator::ReferenceAllocator(std::size_t capacity,
-                                       std::size_t alignment, Fit fit)
+                                       std::size_t alignment)
     : capacity_(util::align_down(capacity, alignment)),
-      alignment_(alignment),
-      fit_(fit) {
+      alignment_(alignment) {
   CA_CHECK(util::is_pow2(alignment), "alignment must be a power of two");
   CA_CHECK(capacity_ > 0, "capacity too small for the requested alignment");
   blocks_.emplace(0, Block{capacity_, /*allocated=*/false, nullptr});
@@ -29,15 +28,6 @@ void ReferenceAllocator::index_erase(std::size_t offset, std::size_t size) {
 
 ReferenceAllocator::BlockMap::iterator ReferenceAllocator::find_fit(
     std::size_t size) {
-  if (fit_ == Fit::kBestFit) {
-    // Smallest free block with size >= requested; ties broken by address.
-    const auto it = free_index_.lower_bound({size, 0});
-    if (it == free_index_.end()) return blocks_.end();
-    const auto bit = blocks_.find(it->second);
-    CA_CHECK(bit != blocks_.end() && !bit->second.allocated,
-             "free index points at a missing or allocated block");
-    return bit;
-  }
   // First fit: lowest-address free block that fits.
   for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
     if (!it->second.allocated && it->second.size >= size) return it;

@@ -2,8 +2,8 @@
 //
 // This is the original map-based FreeListAllocator implementation: an
 // address-ordered `std::map` of blocks with a `(size, offset)` `std::set`
-// free index.  allocate() is O(free blocks) under first-fit and O(log n)
-// under best-fit; free() coalesces through the map.  The binned allocator
+// free index.  allocate() is a first-fit scan, O(free blocks); free()
+// coalesces through the map.  The binned allocator
 // (freelist_allocator.hpp) replaced it on the hot path but must reproduce
 // its placement decisions bit for bit, so this implementation stays around
 // for two consumers:
@@ -32,11 +32,6 @@ namespace ca::mem {
 
 class ReferenceAllocator {
  public:
-  enum class Fit {
-    kFirstFit,  ///< lowest-address free block that fits
-    kBestFit,   ///< smallest free block that fits (ties: lowest address)
-  };
-
   /// Read-only view of one block, in the tiling of the heap.
   struct BlockView {
     std::size_t offset = 0;
@@ -65,8 +60,7 @@ class ReferenceAllocator {
   };
 
   explicit ReferenceAllocator(std::size_t capacity,
-                              std::size_t alignment = 64,
-                              Fit fit = Fit::kFirstFit);
+                              std::size_t alignment = 64);
 
   ReferenceAllocator(const ReferenceAllocator&) = delete;
   ReferenceAllocator& operator=(const ReferenceAllocator&) = delete;
@@ -109,7 +103,6 @@ class ReferenceAllocator {
 
   std::size_t capacity_;
   std::size_t alignment_;
-  Fit fit_;
   BlockMap blocks_;
   std::set<FreeKey> free_index_;
   std::size_t allocated_bytes_ = 0;

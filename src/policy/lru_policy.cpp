@@ -7,10 +7,7 @@
 namespace ca::policy {
 
 LruPolicy::LruPolicy(dm::DataManager& dm, LruPolicyConfig config)
-    : dm_(dm), config_(config) {
-  CA_CHECK(config_.fast != config_.slow,
-           "fast and slow must be distinct devices");
-}
+    : dm_(dm), config_(config) {}
 
 LruPolicy::Node& LruPolicy::node(dm::Object& object) {
   auto [it, inserted] = nodes_.try_emplace(&object);
@@ -31,9 +28,10 @@ void LruPolicy::set_pressure_handler(PressureHandler handler) {
 // --- placement --------------------------------------------------------------
 
 dm::Region& LruPolicy::place_new(dm::Object& object) {
-  const bool gradient =
-      config_.gradient_aware &&
-      object.object_class() == dm::ObjectClass::kGradient;
+  // Class-aware gradient-bucket lifetime (DESIGN.md §3.6): gradient
+  // buckets are born hot, even in modes where generic objects are born in
+  // slow memory, and archive() demotes them.
+  const bool gradient = object.object_class() == dm::ObjectClass::kGradient;
   if (config_.local_alloc || gradient ||
       object.size() < config_.min_migratable) {
     // L: unlinked regions directly in fast memory -- no compulsory NVRAM
@@ -80,7 +78,7 @@ void LruPolicy::will_read_partial(dm::Object& object, std::size_t bytes) {
   }
   const double fraction = static_cast<double>(bytes) /
                           static_cast<double>(object.size());
-  if (fraction >= config_.sparse_threshold) {
+  if (fraction >= kSparseReadFraction) {
     // Mostly-dense read: behave like a plain will_read.
     will_read(object);
     return;
@@ -101,15 +99,14 @@ void LruPolicy::will_write(dm::Object& object) {
 }
 
 void LruPolicy::archive(dm::Object& object) {
-  if (config_.gradient_aware &&
-      object.object_class() == dm::ObjectClass::kGradient &&
+  if (object.object_class() == dm::ObjectClass::kGradient &&
       !object.pinned()) {
     // A gradient bucket archived after its reduced result was applied is
     // dead until the next backward pass: demote it off the fast tier now
     // rather than letting it squat in DRAM at the cold end of the list.
     // This is the class-aware lifetime rule plain LRU cannot express.
     dm::Region* primary = dm_.getprimary(object);
-    if (primary != nullptr && dm_.in(*primary, config_.fast)) {
+    if (primary != nullptr && dm_.in(*primary, sim::kFast)) {
       evict(object);
       ++stats_.gradient_demotes;
       return;
@@ -148,7 +145,7 @@ void LruPolicy::prefetch_ahead(dm::Object& object) {
     if (ahead == nullptr || ahead->pinned()) continue;
     if (ahead->size() < config_.min_migratable) continue;
     dm::Region* p = dm_.getprimary(*ahead);
-    if (p == nullptr || !dm_.in(*p, config_.slow)) continue;
+    if (p == nullptr || !dm_.in(*p, sim::kSlow)) continue;
     if (!prefetch_impl(*ahead, /*force=*/false, /*async=*/true)) {
       break;  // fast memory is full; stop guessing
     }
@@ -205,9 +202,9 @@ void LruPolicy::end_kernel() {
 void LruPolicy::evict(dm::Object& object) {
   dm::Region* x = dm_.getprimary(object);
   CA_CHECK(x != nullptr, "evict of an object without storage");
-  if (!dm_.in(*x, config_.fast)) return;
+  if (!dm_.in(*x, sim::kFast)) return;
 
-  dm::Region* y = dm_.getlinked(*x, config_.slow);
+  dm::Region* y = dm_.getlinked(*x, sim::kSlow);
   const std::size_t sz = dm_.size_of(*x);
   bool allocated = false;
   if (y == nullptr) {
@@ -219,7 +216,7 @@ void LruPolicy::evict(dm::Object& object) {
     dm_.link(*x, *y);
   }
   if (dm_.isdirty(*x) || allocated) {
-    if (config_.async_writeback) {
+    if (config_.async_movement) {
       // Write-behind: the writeback occupies a mover writeback channel in
       // the background; the evictor does not stall and the fast window is
       // reused immediately.  free(x) below joins the real copy only (no
@@ -244,18 +241,18 @@ void LruPolicy::evict(dm::Object& object) {
 }
 
 bool LruPolicy::prefetch(dm::Object& object, bool force) {
-  return prefetch_impl(object, force, config_.async_prefetch);
+  return prefetch_impl(object, force, config_.async_movement);
 }
 
 bool LruPolicy::prefetch_impl(dm::Object& object, bool force, bool async) {
   dm::Region* x = dm_.getprimary(object);
   CA_CHECK(x != nullptr, "prefetch of an object without storage");
-  if (!dm_.in(*x, config_.slow)) return true;  // already fast
+  if (!dm_.in(*x, sim::kSlow)) return true;  // already fast
   // A pinned object's primary cannot change (a kernel holds its pointer);
   // the hint arrives too late to act on.
   if (object.pinned()) return false;
 
-  dm::Region* y = dm_.allocate(config_.fast, object.size(), tenant_);
+  dm::Region* y = dm_.allocate(sim::kFast, object.size(), tenant_);
   if (y == nullptr) {
     if (!force) return false;
     y = allocate_fast_forced(object.size());
@@ -293,8 +290,8 @@ bool LruPolicy::try_displace(dm::Region& region) {
 }
 
 dm::Region* LruPolicy::allocate_fast_forced(std::size_t size) {
-  if (size > dm_.capacity(config_.fast)) return nullptr;
-  if (dm::Region* r = dm_.allocate(config_.fast, size, tenant_)) return r;
+  if (size > dm_.capacity(sim::kFast)) return nullptr;
+  if (dm::Region* r = dm_.allocate(sim::kFast, size, tenant_)) return r;
 
   // Fast memory is under pressure.  Pick a starting point at the coldest
   // *evictable* resident object (the paper's "some heuristic like LRU",
@@ -305,33 +302,33 @@ dm::Region* LruPolicy::allocate_fast_forced(std::size_t size) {
   });
   if (victim != nullptr) {
     if (dm::Region* vr = dm_.getprimary(*victim->object);
-        vr != nullptr && dm_.in(*vr, config_.fast)) {
+        vr != nullptr && dm_.in(*vr, sim::kFast)) {
       start = vr->offset();
     }
   }
   ++stats_.forced_reclaims;
-  if (!dm_.evictfrom(config_.fast, start, size,
+  if (!dm_.evictfrom(sim::kFast, start, size,
                      [this](dm::Region& r) { return try_displace(r); },
                      tenant_)) {
     return nullptr;
   }
-  dm::Region* r = dm_.allocate(config_.fast, size, tenant_);
+  dm::Region* r = dm_.allocate(sim::kFast, size, tenant_);
   CA_CHECK(r != nullptr, "evictfrom succeeded but allocation still failed");
   return r;
 }
 
 dm::Region& LruPolicy::allocate_slow_checked(std::size_t size) {
-  if (dm::Region* r = dm_.allocate(config_.slow, size, tenant_)) return *r;
+  if (dm::Region* r = dm_.allocate(sim::kSlow, size, tenant_)) return *r;
   // Memory pressure: ask the runtime to collect dead objects, then retry.
   if (pressure_) {
     ++stats_.gc_pressure_calls;
     if (pressure_()) {
-      if (dm::Region* r = dm_.allocate(config_.slow, size, tenant_)) return *r;
+      if (dm::Region* r = dm_.allocate(sim::kSlow, size, tenant_)) return *r;
     }
   }
   // Last resort: compaction (the heap may merely be fragmented).
-  dm_.defragment(config_.slow);
-  if (dm::Region* r = dm_.allocate(config_.slow, size, tenant_)) return *r;
+  dm_.defragment(sim::kSlow);
+  if (dm::Region* r = dm_.allocate(sim::kSlow, size, tenant_)) return *r;
   throw OutOfMemoryError("slow memory exhausted allocating " +
                          std::to_string(size) + " bytes");
 }

@@ -19,10 +19,11 @@
 //   M  eager retire, as above.
 //   P  prefetch on will_read, as above.
 //
-// Eviction candidates are tracked on an LRU list of objects whose primary
-// is in fast memory; `archive` moves an object to the cold end.  The policy
-// maintains the paper's invariant: an object with a fast-memory region has
-// that region as its primary.
+// The policy moves data between the platform's fast tier (sim::kFast) and
+// slow tier (sim::kSlow).  Eviction candidates are tracked on an LRU list
+// of objects whose primary is in fast memory; `archive` moves an object to
+// the cold end.  The policy maintains the paper's invariant: an object with
+// a fast-memory region has that region as its primary.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,6 @@
 namespace ca::policy {
 
 struct LruPolicyConfig {
-  sim::DeviceId fast = sim::kFast;
-  sim::DeviceId slow = sim::kSlow;
   bool local_alloc = true;   ///< L: allocate new objects directly in fast
   bool eager_retire = true;  ///< M: free storage on retire
   bool prefetch = false;     ///< P: move data to fast on will_read
@@ -54,23 +53,21 @@ struct LruPolicyConfig {
   std::size_t min_migratable = 64 * util::KiB;
 
   /// Honor will_read_partial: an object about to be read only
-  /// fractionally (< sparse_threshold of its size) is served in place
-  /// instead of being migrated -- the flexibility the paper's SVI calls
-  /// for on DLRM-style sparse workloads.  When false, partial reads are
-  /// treated as full reads (the naive behaviour the extension fixes).
+  /// fractionally (less than LruPolicy::kSparseReadFraction of its size) is
+  /// served in place instead of being migrated -- the flexibility the
+  /// paper's SVI calls for on DLRM-style sparse workloads.  When false,
+  /// partial reads are treated as full reads (the naive behaviour the
+  /// extension fixes).
   bool sparse_aware = true;
-  double sparse_threshold = 0.5;
 
-  /// Use the asynchronous mover for prefetches (paper SV-c future work):
-  /// the copy overlaps with execution and consumers stall only for the
-  /// unfinished remainder at first use.
-  bool async_prefetch = false;
-
-  /// Write-behind eviction: the eviction writeback is scheduled on the
-  /// mover's writeback channels instead of stalling the evictor.  The
-  /// freed fast-memory window is reused immediately; the slow copy's
-  /// ready_at carries the dependency for any later consumer.
-  bool async_writeback = false;
+  /// Move data on the asynchronous mover (paper SV-c future work).
+  /// Prefetches overlap with execution, and consumers stall only for the
+  /// unfinished remainder at first use.  Eviction writebacks are
+  /// write-behind: they are scheduled on the mover's writeback channels
+  /// instead of stalling the evictor, the freed fast-memory window is
+  /// reused immediately, and the slow copy's ready_at carries the
+  /// dependency for any later consumer.
+  bool async_movement = false;
 
   /// Issue asynchronous prefetches for up to this many objects *ahead* of
   /// the one being read, using the archive trace: the forward pass archives
@@ -78,13 +75,6 @@ struct LruPolicyConfig {
   /// reverse, so the objects archived just before the current one are
   /// needed next.  0 disables look-ahead.
   std::size_t prefetch_distance = 0;
-
-  /// Class-aware gradient-bucket lifetime (DESIGN.md §3.6): objects tagged
-  /// ObjectClass::kGradient are born hot (fast-direct, even in modes where
-  /// generic objects are born in slow memory) and demoted off the fast tier
-  /// the moment they are archived -- a gradient bucket is dead the instant
-  /// its reduced result is applied, which a recency list cannot know.
-  bool gradient_aware = true;
 };
 
 class LruPolicy final : public Policy {
@@ -105,6 +95,10 @@ class LruPolicy final : public Policy {
     std::uint64_t gradient_hot_allocs = 0;  ///< gradient buckets born fast
     std::uint64_t gradient_demotes = 0;  ///< archived gradients evicted eagerly
   };
+
+  /// A partial read of at least this fraction of an object is treated as
+  /// a full read (see LruPolicyConfig::sparse_aware).
+  static constexpr double kSparseReadFraction = 0.5;
 
   LruPolicy(dm::DataManager& dm, LruPolicyConfig config);
 

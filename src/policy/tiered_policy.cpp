@@ -153,13 +153,9 @@ bool TieredLruPolicy::promote(dm::Object& object) {
 
 void TieredLruPolicy::will_use(dm::Object& object) { will_read(object); }
 
-void TieredLruPolicy::will_read(dm::Object& object) {
-  if (config_.promote_on_use) promote(object);
-}
+void TieredLruPolicy::will_read(dm::Object& object) { promote(object); }
 
-void TieredLruPolicy::will_write(dm::Object& object) {
-  if (config_.promote_on_use) promote(object);
-}
+void TieredLruPolicy::will_write(dm::Object& object) { promote(object); }
 
 void TieredLruPolicy::archive(dm::Object& object) {
   Node& n = node(object);

@@ -29,9 +29,6 @@ struct TieredLruPolicyConfig {
 
   bool eager_retire = true;
 
-  /// Hints promote objects to the top tier.
-  bool promote_on_use = true;
-
   /// Objects smaller than this stay wherever they were born.
   std::size_t min_migratable = 64 * util::KiB;
 

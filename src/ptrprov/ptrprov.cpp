@@ -255,23 +255,6 @@ void on_release(SpanId id) {
   r.spans.erase(it);
 }
 
-void on_escape(const void* region, std::uint64_t gen, int pin_count,
-               const char* label, const std::source_location& loc) {
-  (void)region;
-  const Site site{loc.file_name(), loc.line()};
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> g(r.mu);
-  record_site_locked(r, "escape", site);
-  if (pin_count <= 0) {
-    ProvenanceReport report;
-    report.kind = ProvenanceReport::Kind::kUnpinnedExtract;
-    report.object = label != nullptr ? label : "";
-    report.acquire_site = site.str();
-    report.gen_at_acquire = gen;
-    r.reports.push_back(std::move(report));
-  }
-}
-
 std::vector<ProvenanceReport> take_reports() {
   Registry& r = Registry::instance();
   std::lock_guard<std::mutex> g(r.mu);

@@ -21,10 +21,9 @@
 //     unpinned-extract — each a structured ProvenanceReport naming the
 //     acquire site and the mutation site that invalidated it;
 //
-//   * sanctioned raw escapes (Runtime::resolve) call on_escape, so the set
-//     of observed acquire/escape sites accumulates across ca::race explorer
-//     schedules and tools/manifest_check.py prov can diff it against the
-//     manifest in docs/pointer_provenance.json (the static half: the
+//   * the set of observed acquire sites accumulates across ca::race
+//     explorer schedules, and tools/manifest_check.py prov diffs it against
+//     the manifest in docs/pointer_provenance.json (the static half: the
 //     region-data-route ca_lint rule confines bare Region::data() calls to
 //     the same manifest).
 //
@@ -99,7 +98,7 @@ struct SpanInfo {
 };
 
 /// One observed sanctioned-accessor site (deduplicated, with a hit count),
-/// for dumps and the manifest diff.  `kind` is "acquire" or "escape".
+/// for dumps and the manifest diff.  `kind` is "acquire".
 struct SiteInfo {
   std::string kind;
   std::string site;
@@ -138,11 +137,6 @@ void on_access(SpanId id, int pin_count_now, const std::source_location& loc);
 /// use-after-unpin.
 void on_release(SpanId id);
 
-/// A sanctioned raw-pointer escape (Runtime::resolve): records the site and
-/// reports unpinned-extract when `pin_count` <= 0.
-void on_escape(const void* region, std::uint64_t gen, int pin_count,
-               const char* label, const std::source_location& loc);
-
 // --- findings / introspection ----------------------------------------------
 
 /// Drain the accumulated reports (regions, spans and observed sites stay).
@@ -155,7 +149,7 @@ std::vector<ProvenanceReport> take_reports();
 /// Span ids currently held by the calling thread (acquire order).
 [[nodiscard]] std::vector<SpanId> held_spans();
 
-/// Snapshot of the observed acquire/escape sites (accumulates across
+/// Snapshot of the observed acquire sites (accumulates across
 /// explorer schedules, like the lockdep graph).
 [[nodiscard]] std::vector<SiteInfo> observed_sites();
 
@@ -189,8 +183,6 @@ inline SpanId on_acquire(const void*, const void*, std::uint64_t, int,
 }
 inline void on_access(SpanId, int, const std::source_location&) {}
 inline void on_release(SpanId) {}
-inline void on_escape(const void*, std::uint64_t, int, const char*,
-                      const std::source_location&) {}
 
 }  // namespace ca::ptrprov
 

@@ -17,14 +17,13 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
       counters_(counters),
       fast_(fast),
       slow_(slow) {
-  CA_CHECK(util::is_pow2(config_.block_size), "block size must be 2^k");
-  CA_CHECK(config_.capacity >= config_.block_size,
+  CA_CHECK(config_.capacity >= kBlockSize,
            "cache must hold at least one block");
   CA_CHECK(config_.ways >= 1 && util::is_pow2(config_.ways),
            "associativity must be a power of two");
-  const std::size_t blocks = config_.capacity / config_.block_size;
+  const std::size_t blocks = config_.capacity / kBlockSize;
   CA_CHECK(blocks % config_.ways == 0,
-           "capacity/block_size must be a multiple of the associativity");
+           "capacity/kBlockSize must be a multiple of the associativity");
   num_sets_ = blocks / config_.ways;
   if (config_.ways == 1) {
     tags_ = std::make_unique_for_overwrite<std::uint64_t[]>(blocks);
@@ -41,17 +40,17 @@ DirectMappedCache::DirectMappedCache(const CacheConfig& config,
   dram_bw_ = std::min(dram.read_bw.at(t), dram.write_bw.at(t));
   // NVRAM fills and writebacks run at block granularity in conflict-miss
   // order: a fraction of sequential bandwidth.
-  nvram_fill_bw_ = nvram.read_bw.at(t) * config_.nvram_read_efficiency;
+  nvram_fill_bw_ = nvram.read_bw.at(t) * kNvramReadEfficiency;
   // Writebacks drain through the write-pending queue (streaming stores),
   // but in conflict-miss order rather than the copy engine's shaped runs.
   nvram_writeback_bw_ =
-      nvram.write_bw_nt.at(t) * config_.nvram_write_efficiency;
+      nvram.write_bw_nt.at(t) * kNvramWriteEfficiency;
 }
 
 double DirectMappedCache::access(std::size_t addr, std::size_t bytes,
                                  bool write) {
   if (bytes == 0) return 0.0;
-  const std::size_t bs = config_.block_size;
+  constexpr std::size_t bs = kBlockSize;
   const std::size_t first = addr / bs;
   const std::size_t last = (addr + bytes - 1) / bs;
   const std::uint64_t blocks = last - first + 1;

@@ -54,23 +54,25 @@
 
 namespace ca::twolm {
 
+/// Cache block (line) size in bytes: 2LM caches at 64 B line granularity.
+inline constexpr std::size_t kBlockSize = 64;
+
+/// Cache-driven NVRAM traffic is scattered (conflict-miss order, block
+/// granularity) and reaches only a fraction of the device's sequential
+/// bandwidth.  Izraelevitz et al. measure small random Optane accesses at
+/// well under half of sequential throughput.
+inline constexpr double kNvramReadEfficiency = 0.42;
+inline constexpr double kNvramWriteEfficiency = 0.39;
+
 struct CacheConfig {
   std::size_t capacity = 0;      ///< DRAM cache size in bytes
-  std::size_t block_size = 64;   ///< cache block (line) size, power of two
   std::size_t kernel_threads = 8;  ///< parallelism of the accessing kernels
 
   /// Associativity.  Intel's 2LM is direct-mapped (1); higher values model
   /// the "what if the DRAM cache had ways" ablation.  LRU replacement
-  /// within a set.  Power of two, and capacity/block_size must be a
+  /// within a set.  Power of two, and capacity/kBlockSize must be a
   /// multiple of it.
   std::size_t ways = 1;
-
-  /// Cache-driven NVRAM traffic is scattered (conflict-miss order, block
-  /// granularity) and reaches only a fraction of the device's sequential
-  /// bandwidth.  Izraelevitz et al. measure small random Optane accesses at
-  /// well under half of sequential throughput.
-  double nvram_read_efficiency = 0.42;
-  double nvram_write_efficiency = 0.39;
 };
 
 struct CacheStats {

@@ -505,15 +505,13 @@ TEST(AuditStress, ThirdSeedLargeObjects) {
   h.run(1500);
 }
 
-// --- allocator-level fit-policy sweep ---------------------------------------
+// --- allocator-level sweep ---------------------------------------------------
 //
-// The binned free lists keep different orderings per fit policy, so each
-// policy gets its own seeded churn run with the full allocator audit
-// (tiling, bins, bitmaps, boundary tags) after every step.
+// A seeded churn run with the full allocator audit (tiling, bins, bitmaps,
+// boundary tags) after every step.
 
-void run_allocator_sweep(mem::FreeListAllocator::Fit fit, std::uint64_t seed,
-                         std::size_t steps) {
-  mem::FreeListAllocator alloc(4 * util::MiB, 64, fit);
+void run_allocator_sweep(std::uint64_t seed, std::size_t steps) {
+  mem::FreeListAllocator alloc(4 * util::MiB);
   util::Xoshiro256 rng(seed);
   std::vector<std::size_t> live;
   for (std::size_t step = 0; step < steps; ++step) {
@@ -540,13 +538,7 @@ void run_allocator_sweep(mem::FreeListAllocator::Fit fit, std::uint64_t seed,
 }
 
 TEST(AuditStress, AllocatorFirstFitSweepStaysClean) {
-  run_allocator_sweep(mem::FreeListAllocator::Fit::kFirstFit,
-                      /*seed=*/0xF125F17, 5200);
-}
-
-TEST(AuditStress, AllocatorBestFitSweepStaysClean) {
-  run_allocator_sweep(mem::FreeListAllocator::Fit::kBestFit,
-                      /*seed=*/0xBE57F17, 5200);
+  run_allocator_sweep(/*seed=*/0xF125F17, 5200);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ struct AllocatorTestPeer {
   }
 
   /// Swap the first two entries of the first bin holding at least two
-  /// blocks, breaking the order the fit policy relies on.
+  /// blocks, breaking the address order first-fit relies on.
   static void reorder_bin_entries(FreeListAllocator& a) {
     for (auto& bl : a.bins_) {
       if (bl.head == kNil || a.nodes_[bl.head].bin_next == kNil) continue;

@@ -1,6 +1,7 @@
 // BenchReport, the one BENCH_<name>.json emitter every bench shares: typed
-// rows, the run header, JSON escaping and the smoke file name; and the
-// percentile every latency-tail row uses.
+// rows, the run header, JSON escaping and the smoke file name; the
+// percentile every latency-tail row uses; and the figure banner's Config:
+// line.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
@@ -88,6 +89,15 @@ TEST_F(BenchReportTest, PercentileTakesTheFloorIndex) {
   EXPECT_EQ(percentile(samples, 0.99), 9.0);  // index floor(0.99 * 9) = 8
   std::vector<double> none;
   EXPECT_EQ(percentile(none, 0.99), 0.0);
+}
+
+TEST(PrintHeader, ConfigNamesTheTiersTheBenchRuns) {
+  ::testing::internal::CaptureStdout();
+  print_header("Table III", "footprints", tier_config({768}, 64));
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(out.find("Config: DRAM 768 MiB, NVRAM 64 MiB\n"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

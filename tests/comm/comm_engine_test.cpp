@@ -58,7 +58,7 @@ class CommEngineFixture : public ::testing::Test {
 TEST_F(CommEngineFixture, AllreduceSumsAllShardsInPlace) {
   constexpr std::size_t kBytes = 1024;
   constexpr std::size_t kWorkers = 3;
-  CommEngine eng(CommConfig{kWorkers, LinkModel::ethernet_scaled(), 1, {}});
+  CommEngine eng(CommConfig{kWorkers, LinkModel::ethernet_scaled(), {}});
   std::vector<dm::Object*> grads;
   std::vector<dm::PinnedSpan> parts;
   for (std::size_t w = 0; w < kWorkers; ++w) {
@@ -88,7 +88,7 @@ TEST_F(CommEngineFixture, AllreduceSumsAllShardsInPlace) {
 
 TEST_F(CommEngineFixture, StatsAccountWireBytesPicksAndOccupancy) {
   constexpr std::size_t kBytes = 64 * util::KiB;
-  CommEngine eng(CommConfig{2, LinkModel::ethernet_scaled(), 1,
+  CommEngine eng(CommConfig{2, LinkModel::ethernet_scaled(),
                             Algorithm::kTree});
   for (int i = 0; i < 2; ++i) {
     dm::Object* a = make_grad(kBytes, "a");
@@ -113,10 +113,10 @@ TEST_F(CommEngineFixture, StatsAccountWireBytesPicksAndOccupancy) {
 
 TEST_F(CommEngineFixture, PickForcesOrComparesCosts) {
   const LinkModel link = LinkModel::ethernet_scaled();
-  CommEngine by_size(CommConfig{8, link, 1, {}});
+  CommEngine by_size(CommConfig{8, link, {}});
   EXPECT_EQ(by_size.pick(1024), Algorithm::kTree);  // latency-bound
   EXPECT_EQ(by_size.pick(16 * util::MiB), Algorithm::kRing);
-  CommEngine forced(CommConfig{8, link, 1, Algorithm::kRing});
+  CommEngine forced(CommConfig{8, link, Algorithm::kRing});
   EXPECT_EQ(forced.pick(1024), Algorithm::kRing);
 }
 
@@ -124,7 +124,7 @@ TEST_F(CommEngineFixture, ModeledTimesAreFixedAtSubmitAndChainable) {
   constexpr std::size_t kBytes = 256 * util::KiB;
   const LinkModel link = LinkModel::ethernet_scaled();
   auto run = [&](double earliest0) {
-    CommEngine eng(CommConfig{2, link, 1, {}});
+    CommEngine eng(CommConfig{2, link, {}});
     std::vector<double> dones;
     for (int i = 0; i < 3; ++i) {
       dm::Object* a = make_grad(kBytes, "a");
@@ -148,7 +148,7 @@ TEST_F(CommEngineFixture, ModeledTimesAreFixedAtSubmitAndChainable) {
 }
 
 TEST_F(CommEngineFixture, ShardValidationRejectsBadInput) {
-  CommEngine eng(CommConfig{2, LinkModel::ethernet_scaled(), 1, {}});
+  CommEngine eng(CommConfig{2, LinkModel::ethernet_scaled(), {}});
   dm::Object* a = make_grad(1024, "a");
   dm::Object* b = make_grad(2048, "b");
   ASSERT_NE(a, nullptr);

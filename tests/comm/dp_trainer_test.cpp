@@ -25,7 +25,6 @@ TrainerConfig tiny_config(dnn::Backend backend) {
   cfg.dram_bytes = 32 * util::MiB;
   cfg.nvram_bytes = 64 * util::MiB;
   cfg.kernel_threads = 2;
-  cfg.comm_pool_threads = 1;
   cfg.seed = 7;
   return cfg;
 }

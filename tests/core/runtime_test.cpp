@@ -97,26 +97,14 @@ TEST(Runtime, GcTriggerFractionCollectsProactively) {
   EXPECT_EQ(rt.gc_stats().collections, 1u);
 }
 
-TEST(Runtime, ResolveRequiresKernelBracket) {
-  Runtime rt(small_platform(), lru_factory());
-  dm::Object& obj = rt.new_object(1024);
-  EXPECT_THROW((void)rt.resolve(obj, false), InternalError);
-  dm::Object* args[] = {&obj};
-  rt.begin_kernel(args);
-  EXPECT_NE(rt.resolve(obj, false), nullptr);
-  rt.end_kernel(args);
-  rt.release(obj);
-  rt.gc_collect();
-}
-
-TEST(Runtime, ResolveForWriteMarksDirty) {
+TEST(Runtime, AccessForWriteMarksDirty) {
   Runtime rt(small_platform(), lru_factory());
   dm::Object& obj = rt.new_object(1024);
   dm::Object* args[] = {&obj};
   rt.begin_kernel(args);
-  (void)rt.resolve(obj, false);
+  (void)rt.access(obj, false);
   EXPECT_FALSE(rt.manager().isdirty(*rt.manager().getprimary(obj)));
-  (void)rt.resolve(obj, true);
+  (void)rt.access(obj, true);
   EXPECT_TRUE(rt.manager().isdirty(*rt.manager().getprimary(obj)));
   rt.end_kernel(args);
   rt.release(obj);

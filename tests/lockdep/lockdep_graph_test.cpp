@@ -103,7 +103,7 @@ void run_sanctioned_workload() {
   // BEFORE State::mu is taken -- no pin is ever dropped under a lock.
   {
     comm::CommEngine comm_eng(
-        comm::CommConfig{2, comm::LinkModel::ethernet_scaled(), 1, {}});
+        comm::CommConfig{2, comm::LinkModel::ethernet_scaled(), {}});
     dm::Object* g0 = dm.create_object(4 * util::KiB, "lockdep:g0", tenant,
                                       dm::ObjectClass::kGradient);
     dm::Object* g1 = dm.create_object(4 * util::KiB, "lockdep:g1", tenant,

@@ -59,10 +59,9 @@ void expect_same_tiling(const FreeListAllocator& neu,
   ASSERT_EQ(ns.failed_allocs, rs.failed_allocs) << "at step " << step;
 }
 
-void run_differential(FreeListAllocator::Fit nfit, ReferenceAllocator::Fit rfit,
-                      std::uint64_t seed, std::uint64_t steps) {
-  FreeListAllocator neu(kHeap, 64, nfit);
-  ReferenceAllocator ref(kHeap, 64, rfit);
+void run_differential(std::uint64_t seed, std::uint64_t steps) {
+  FreeListAllocator neu(kHeap);
+  ReferenceAllocator ref(kHeap);
   ca::util::Xoshiro256 rng(seed);
   std::vector<std::size_t> live;
 
@@ -124,7 +123,7 @@ void run_differential(FreeListAllocator::Fit nfit, ReferenceAllocator::Fit rfit,
 }
 
 std::uint64_t fuzz_steps() {
-  // 100k ops per fit policy by default (the acceptance bar); CA_FUZZ_STEPS
+  // 100k ops by default (the acceptance bar); CA_FUZZ_STEPS
   // can dial it down for quick local runs.
   if (const char* env = std::getenv("CA_FUZZ_STEPS")) {
     return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
@@ -133,21 +132,13 @@ std::uint64_t fuzz_steps() {
 }
 
 TEST(AllocatorDifferential, FirstFitMatchesReference) {
-  run_differential(FreeListAllocator::Fit::kFirstFit,
-                   ReferenceAllocator::Fit::kFirstFit, 0x5eed0001,
-                   fuzz_steps());
-}
-
-TEST(AllocatorDifferential, BestFitMatchesReference) {
-  run_differential(FreeListAllocator::Fit::kBestFit,
-                   ReferenceAllocator::Fit::kBestFit, 0x5eed0002,
-                   fuzz_steps());
+  run_differential(0x5eed0001, fuzz_steps());
 }
 
 TEST(AllocatorDifferential, TinyHeapHighChurn) {
   // A small heap forces constant splits, coalesces and failures.
-  FreeListAllocator neu(4096, 64, FreeListAllocator::Fit::kFirstFit);
-  ReferenceAllocator ref(4096, 64, ReferenceAllocator::Fit::kFirstFit);
+  FreeListAllocator neu(4096);
+  ReferenceAllocator ref(4096);
   ca::util::Xoshiro256 rng(7);
   std::vector<std::size_t> live;
   for (int step = 0; step < 20000; ++step) {

@@ -16,8 +16,8 @@ namespace {
 
 struct PropertyParam {
   std::uint64_t seed;
-  FreeListAllocator::Fit fit;
   std::size_t max_alloc;
+  std::size_t alignment;  ///< heap alignment (the allocator's default, 64)
 };
 
 class AllocatorProperty : public ::testing::TestWithParam<PropertyParam> {};
@@ -25,7 +25,7 @@ class AllocatorProperty : public ::testing::TestWithParam<PropertyParam> {};
 TEST_P(AllocatorProperty, RandomWorkloadPreservesInvariants) {
   const auto param = GetParam();
   util::Xoshiro256 rng(param.seed);
-  FreeListAllocator a(256 * util::KiB, 64, param.fit);
+  FreeListAllocator a(256 * util::KiB, param.alignment);
 
   // offset -> size of live allocations, mirrored outside the allocator.
   std::map<std::size_t, std::size_t> live;
@@ -36,7 +36,7 @@ TEST_P(AllocatorProperty, RandomWorkloadPreservesInvariants) {
       const std::size_t size = 1 + rng.bounded(param.max_alloc);
       const auto off = a.allocate(size);
       if (off.has_value()) {
-        const std::size_t rounded = util::align_up(size, 64);
+        const std::size_t rounded = util::align_up(size, param.alignment);
         // No overlap with any existing live allocation.
         for (const auto& [o, s] : live) {
           const bool disjoint = *off + rounded <= o || o + s <= *off;
@@ -65,14 +65,14 @@ TEST_P(AllocatorProperty, RandomWorkloadPreservesInvariants) {
 TEST_P(AllocatorProperty, AllocationsNeverExceedCapacity) {
   const auto param = GetParam();
   util::Xoshiro256 rng(param.seed ^ 0xDEADBEEF);
-  FreeListAllocator a(64 * util::KiB, 64, param.fit);
+  FreeListAllocator a(64 * util::KiB, param.alignment);
   std::vector<std::size_t> offs;
   std::size_t requested = 0;
   for (int i = 0; i < 500; ++i) {
     const std::size_t size = 1 + rng.bounded(param.max_alloc);
     if (const auto off = a.allocate(size)) {
       offs.push_back(*off);
-      requested += util::align_up(size, 64);
+      requested += util::align_up(size, param.alignment);
     }
   }
   EXPECT_EQ(a.stats().allocated_bytes, requested);
@@ -84,20 +84,13 @@ TEST_P(AllocatorProperty, AllocationsNeverExceedCapacity) {
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, AllocatorProperty,
     ::testing::Values(
-        PropertyParam{1, FreeListAllocator::Fit::kFirstFit, 512},
-        PropertyParam{2, FreeListAllocator::Fit::kFirstFit, 8192},
-        PropertyParam{3, FreeListAllocator::Fit::kFirstFit, 64 * 1024},
-        PropertyParam{4, FreeListAllocator::Fit::kBestFit, 512},
-        PropertyParam{5, FreeListAllocator::Fit::kBestFit, 8192},
-        PropertyParam{6, FreeListAllocator::Fit::kBestFit, 64 * 1024},
-        PropertyParam{7, FreeListAllocator::Fit::kFirstFit, 100},
-        PropertyParam{8, FreeListAllocator::Fit::kBestFit, 100}),
+        PropertyParam{1, 512, 64},
+        PropertyParam{2, 8192, 64},
+        PropertyParam{3, 64 * 1024, 64},
+        PropertyParam{7, 100, 64}),
     [](const ::testing::TestParamInfo<PropertyParam>& info) {
       const auto& p = info.param;
-      return std::string(p.fit == FreeListAllocator::Fit::kFirstFit
-                             ? "FirstFit"
-                             : "BestFit") +
-             "_max" + std::to_string(p.max_alloc) + "_seed" +
+      return "FirstFit_max" + std::to_string(p.max_alloc) + "_seed" +
              std::to_string(p.seed);
     });
 

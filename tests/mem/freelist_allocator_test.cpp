@@ -163,21 +163,6 @@ TEST(FreeList, FragmentationMetric) {
   a.check_invariants();
 }
 
-TEST(FreeList, BestFitPicksTightestHole) {
-  FreeListAllocator a(kCap, 64, FreeListAllocator::Fit::kBestFit);
-  const auto a1 = a.allocate(4096);
-  const auto a2 = a.allocate(64);
-  const auto a3 = a.allocate(1024);
-  const auto a4 = a.allocate(64);
-  ASSERT_TRUE(a1 && a2 && a3 && a4);
-  a.free(*a1);  // 4 KiB hole at offset 0
-  a.free(*a3);  // 1 KiB hole in the middle
-  const auto fit = a.allocate(1024);
-  ASSERT_TRUE(fit);
-  EXPECT_EQ(*fit, *a3);  // chose the 1 KiB hole, not the 4 KiB one
-  a.check_invariants();
-}
-
 TEST(FreeList, ForBlocksFromStartsAtContainingBlock) {
   FreeListAllocator a(kCap);
   const auto x = a.allocate(1024);

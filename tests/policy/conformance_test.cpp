@@ -46,7 +46,7 @@ std::vector<PolicyCase> all_policies() {
          return std::make_unique<LruPolicy>(
              dm, LruPolicyConfig{.prefetch = true,
                                  .min_migratable = 0,
-                                 .async_prefetch = true});
+                                 .async_movement = true});
        }},
       {"PinnedSlow",
        [](dm::DataManager& dm) {

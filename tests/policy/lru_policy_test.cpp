@@ -141,30 +141,18 @@ TEST_F(LruPolicyFixture, ArchiveDoesNotEagerlyEvict) {
 TEST_F(LruPolicyFixture, GradientObjectsAreBornFastEvenWithoutLocalAlloc) {
   LruPolicyConfig cfg;
   cfg.local_alloc = false;  // generic objects are born slow in this mode
-  cfg.gradient_aware = true;
   auto p = make(cfg);
   dm::Object* g = dm_.create_object(64 * util::KiB, "grad", {},
                                     dm::ObjectClass::kGradient);
   p.place_new(*g);
   EXPECT_EQ(device_of(*g), sim::kFast);
   EXPECT_EQ(p.op_stats().gradient_hot_allocs, 1u);
-  // With the class rule off the tag is inert: gradients follow the
-  // generic placement.
-  cfg.gradient_aware = false;
-  auto q = make(cfg);
-  dm::Object* h = dm_.create_object(64 * util::KiB, "grad-inert", {},
-                                    dm::ObjectClass::kGradient);
-  q.place_new(*h);
-  EXPECT_EQ(device_of(*h), sim::kSlow);
-  EXPECT_EQ(q.op_stats().gradient_hot_allocs, 0u);
   dm_.destroy_object(g);
-  dm_.destroy_object(h);
 }
 
 TEST_F(LruPolicyFixture, ArchivedGradientsAreDemotedEagerly) {
   LruPolicyConfig cfg;
   cfg.local_alloc = true;
-  cfg.gradient_aware = true;
   auto p = make(cfg);
   dm::Object* g = dm_.create_object(64 * util::KiB, "grad", {},
                                     dm::ObjectClass::kGradient);
@@ -182,7 +170,6 @@ TEST_F(LruPolicyFixture, ArchivedGradientsAreDemotedEagerly) {
 TEST_F(LruPolicyFixture, PinnedGradientsAreNotDemotedOnArchive) {
   LruPolicyConfig cfg;
   cfg.local_alloc = true;
-  cfg.gradient_aware = true;
   auto p = make(cfg);
   dm::Object* g = dm_.create_object(64 * util::KiB, "grad", {},
                                     dm::ObjectClass::kGradient);
@@ -268,12 +255,6 @@ TEST_F(LruPolicyFixture, OnDestroyForgetsBookkeeping) {
   p.on_destroy(*obj);
   EXPECT_EQ(p.fast_resident_objects(), 0u);
   dm_.destroy_object(obj);
-}
-
-TEST_F(LruPolicyFixture, FastAndSlowMustDiffer) {
-  EXPECT_THROW(
-      LruPolicy(dm_, {.fast = sim::kFast, .slow = sim::kFast}),
-      InternalError);
 }
 
 TEST_F(LruPolicyFixture, PressureHandlerInvokedWhenSlowFills) {

@@ -1,6 +1,6 @@
 // The sanctioned routes stay clean: every data access the code base
-// actually ships -- Runtime::resolve inside kernel brackets, CachedArray
-// with_read/with_write, the DNN engine's argument spans -- runs through the
+// actually ships -- CachedArray with_read/with_write and the DNN engine's
+// argument spans -- runs through the
 // provenance analyzer without a single report, and leaves behind exactly
 // the observed-site ledger docs/pointer_provenance.json declares (the
 // tools/manifest_check.py prov runtime diff consumes the dump this suite
@@ -58,21 +58,7 @@ dnn::HarnessConfig real_cfg() {
 /// Exercise every sanctioned accessor route in one process so the
 /// observed-site ledger matches what the manifest declares.
 void run_sanctioned_workloads() {
-  // Route 1: the raw escape -- Runtime::resolve inside a kernel bracket
-  // (the one sanctioned way to hold a bare pointer).
-  {
-    core::Runtime rt(small_platform(), lru_factory());
-    dm::Object& obj = rt.new_object(64 * util::KiB, "bracketed");
-    dm::Object* args[] = {&obj};
-    rt.begin_kernel(args);
-    std::byte* p = rt.resolve(obj, /*write=*/true);
-    ASSERT_NE(p, nullptr);
-    p[0] = std::byte{0x5A};
-    rt.end_kernel(args);
-    rt.release(obj);
-    rt.gc_collect();
-  }
-  // Route 2: CachedArray bracketed access (PinnedSpan under the hood),
+  // Route 1: CachedArray bracketed access (PinnedSpan under the hood),
   // including a policy-driven defragment between brackets -- fresh spans
   // see the new generation, so this must be silent.
   {
@@ -89,7 +75,7 @@ void run_sanctioned_workloads() {
       EXPECT_FLOAT_EQ(s[4095], 4095.0f);
     });
   }
-  // Route 3: the DNN engine's per-argument spans.
+  // Route 2: the DNN engine's per-argument spans.
   {
     dnn::Harness h(real_cfg());
     auto& e = h.engine();
@@ -115,17 +101,10 @@ TEST(PtrprovRoutes, SanctionedWorkloadsProduceNoReports) {
 TEST(PtrprovRoutes, ObservedSitesCoverTheDeclaredAccessors) {
   ptrprov::reset_for_testing();
   run_sanctioned_workloads();
-  // Escapes record the *extraction's* call site (resolve takes a defaulted
-  // source_location), so route 1 shows up under this file, while the
-  // span-acquire sites land on the sanctioned accessors in src/.
-  bool saw_resolve = false;       // resolve() caller: this test
+  // The span-acquire sites land on the sanctioned accessors in src/.
   bool saw_cached_array = false;  // src/core/cached_array.hpp (acquire)
   bool saw_engine = false;        // src/dnn/engine.cpp (acquire)
   for (const auto& site : ptrprov::observed_sites()) {
-    if (site.kind == "escape" &&
-        site.site.find("ptrprov_route_test.cpp") != std::string::npos) {
-      saw_resolve = true;
-    }
     if (site.kind == "acquire" &&
         site.site.find("src/core/cached_array.hpp") != std::string::npos) {
       saw_cached_array = true;
@@ -135,7 +114,6 @@ TEST(PtrprovRoutes, ObservedSitesCoverTheDeclaredAccessors) {
       saw_engine = true;
     }
   }
-  EXPECT_TRUE(saw_resolve);
   EXPECT_TRUE(saw_cached_array);
   EXPECT_TRUE(saw_engine);
 }

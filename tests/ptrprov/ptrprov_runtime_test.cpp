@@ -185,8 +185,8 @@ TEST(PtrprovRuntime, UnpinnedExtractIsFlaggedAtTheEscape) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].kind, ProvenanceReport::Kind::kUnpinnedExtract);
   EXPECT_EQ(reports[0].object, "escapee");
-  // The escape hook takes a defaulted source_location, so the report names
-  // the extraction's call site -- this test -- not the accessor internals.
+  // The extraction takes a defaulted source_location, so the report names
+  // its call site -- this test -- not the accessor internals.
   EXPECT_NE(reports[0].acquire_site.find("ptrprov_runtime_test.cpp"),
             std::string::npos);
 }

@@ -25,9 +25,9 @@ struct DataManagerTestPeer {
     object.pin_count_.store(count);
   }
 
-  /// The unpinned raw escape: what a kernel that skipped the
+  /// The unpinned raw extraction: what a kernel that skipped the
   /// begin_kernel/end_kernel bracket would do.  Replicates
-  /// Runtime::resolve minus the pin check; ca::ptrprov must flag the
+  /// DataManager::access minus the pin; ca::ptrprov must flag the
   /// extraction itself (kUnpinnedExtract), not trust the caller.
   static const std::byte* unpinned_extract(
       DataManager& dm, Object& object,
@@ -35,8 +35,10 @@ struct DataManagerTestPeer {
     Region* primary = object.primary();
     if (primary == nullptr) return nullptr;
     dm.wait_ready(*primary);
-    ptrprov::on_escape(primary, primary->generation(), object.pin_count(),
-                       object.name().c_str(), loc);
+    ptrprov::on_release(ptrprov::on_acquire(&object, primary,
+                                            primary->generation(),
+                                            object.pin_count(),
+                                            object.name().c_str(), loc));
     return primary->data();
   }
 

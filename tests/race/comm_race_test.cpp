@@ -49,7 +49,7 @@ struct CommHarness {
 
   CommHarness()
       : dm(platform, clock, counters),
-        eng(comm::CommConfig{2, comm::LinkModel::ethernet_scaled(), 1, {}}) {}
+        eng(comm::CommConfig{2, comm::LinkModel::ethernet_scaled(), {}}) {}
 
   dm::Object* make_bucket(const char* name) {
     dm::Object* obj =

@@ -27,7 +27,6 @@ class AssocFixture : public ::testing::Test {
                          std::size_t capacity = 4 * util::KiB) {
     CacheConfig cfg;
     cfg.capacity = capacity;
-    cfg.block_size = 64;
     cfg.ways = ways;
     return DirectMappedCache(cfg, platform_, counters_);
   }
@@ -91,7 +90,6 @@ TEST_F(AssocFixture, FullyAssociativeHoldsAnyFittingWorkingSet) {
 TEST_F(AssocFixture, InvalidGeometryRejected) {
   CacheConfig cfg;
   cfg.capacity = 4 * util::KiB;
-  cfg.block_size = 64;
   cfg.ways = 3;  // not a power of two
   EXPECT_THROW(DirectMappedCache(cfg, platform_, counters_), ca::InternalError);
 }
@@ -157,13 +155,12 @@ class CacheProperty : public ::testing::TestWithParam<StreamCase> {};
 TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   const StreamCase& param = GetParam();
   const std::size_t ways = param.ways;
-  const std::size_t bs = 64;
+  const std::size_t bs = kBlockSize;
   sim::Platform platform =
       sim::Platform::cascade_lake_scaled(4 * util::KiB, 64 * util::KiB);
   telemetry::TrafficCounters counters;
   CacheConfig cfg;
   cfg.capacity = param.sets == 0 ? 4 * util::KiB : param.sets * ways * bs;
-  cfg.block_size = bs;
   cfg.ways = ways;
   DirectMappedCache cache(cfg, platform, counters);
   ReferenceCache ref(cache.num_sets(), ways);
@@ -174,8 +171,8 @@ TEST_P(CacheProperty, MatchesReferenceOnRandomStreams) {
   const auto& dram = platform.spec(sim::kFast);
   const auto& nvram = platform.spec(sim::kSlow);
   const double dram_bw = std::min(dram.read_bw.at(t), dram.write_bw.at(t));
-  const double fill_bw = nvram.read_bw.at(t) * cfg.nvram_read_efficiency;
-  const double wb_bw = nvram.write_bw_nt.at(t) * cfg.nvram_write_efficiency;
+  const double fill_bw = nvram.read_bw.at(t) * kNvramReadEfficiency;
+  const double wb_bw = nvram.write_bw_nt.at(t) * kNvramWriteEfficiency;
 
   util::Xoshiro256 rng(param.seed);
   const std::size_t sets = cache.num_sets();

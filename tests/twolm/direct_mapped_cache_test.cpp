@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "util/align.hpp"
-#include "util/error.hpp"
 
 namespace ca::twolm {
 namespace {
@@ -14,11 +13,9 @@ class CacheFixture : public ::testing::Test {
       : platform_(sim::Platform::cascade_lake_scaled(4 * util::KiB,
                                                      64 * util::KiB)) {}
 
-  DirectMappedCache make(std::size_t capacity = 4 * util::KiB,
-                         std::size_t block = 64) {
+  DirectMappedCache make(std::size_t capacity = 4 * util::KiB) {
     CacheConfig cfg;
     cfg.capacity = capacity;
-    cfg.block_size = block;
     return DirectMappedCache(cfg, platform_, counters_);
   }
 
@@ -27,7 +24,7 @@ class CacheFixture : public ::testing::Test {
 };
 
 TEST_F(CacheFixture, GeometryIsDerivedFromConfig) {
-  auto c = make(4 * util::KiB, 64);
+  auto c = make(4 * util::KiB);
   EXPECT_EQ(c.num_sets(), 64u);
 }
 
@@ -179,13 +176,6 @@ TEST_F(CacheFixture, WholeChunkRunsAgreeWithPartialOnes) {
   EXPECT_EQ(counters_.device(sim::kFast).bytes_written, chunk + 1026 * 64);
   EXPECT_EQ(counters_.device(sim::kSlow).bytes_read, 1026u * 64);
   EXPECT_EQ(counters_.device(sim::kSlow).bytes_written, chunk);
-}
-
-TEST_F(CacheFixture, NonPow2BlockSizeRejected) {
-  CacheConfig cfg;
-  cfg.capacity = 4 * util::KiB;
-  cfg.block_size = 48;
-  EXPECT_THROW(DirectMappedCache(cfg, platform_, counters_), InternalError);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ Eight rules that clang-tidy cannot express, enforced over src/:
   region-data-route
       Bare ``Region::data()`` extractions are confined to the files
       sanctioned by docs/pointer_provenance.json (the manager's own
-      machinery, the PinnedSpan accessor, Runtime::resolve).  Everywhere
+      machinery and the PinnedSpan accessor).  Everywhere
       else reaches bytes through ``dm::PinnedSpan`` so the ``ca::ptrprov``
       analyzer can prove the pointer never outlives its pin (paper SIII-C
       pin discipline).  ``tools/manifest_check.py prov`` audits the

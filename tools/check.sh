@@ -6,9 +6,11 @@
 #            (every target builds warning-free; Debug ⇒
 #            CA_AUDIT_ENABLED, so every DataManager mutation boundary is
 #            audited during the tests), then the full ctest suite under it —
-#            including the randomized audit stress harness (ctest -R audit,
-#            which sweeps the binned allocator under BOTH fit policies with
-#            seeded >=5k-step runs) and the Transfer edge-case tests.
+#            including the randomized audit stress harness (the audit
+#            tests, which sweep the binned first-fit allocator with seeded
+#            >=5k-step runs), the Transfer edge-case tests and the
+#            bench-smoke tests.  Later stages rerun a suite only where the
+#            build or the environment differs from this one.
 #   tsan     TSan build of the concurrency-bearing components (thread pool,
 #            copy engine, data-manager transfer registry) and their tests,
 #            including the Async* interleaving suites.
@@ -29,23 +31,22 @@
 #            diffs and the generated provenance table in docs/CONCURRENCY.md.
 #   multitenant  shared-manager concurrency gate: the multi-tenant suite
 #            (semantics + per-tenant accounting + plain-thread concurrency,
-#            tests/dm/multitenant_test.cpp) under the ASan build and the
-#            TSan build, the cross-tenant hazard scenarios under the
-#            CA_RACE schedule explorer (flagged-then-fixed across >=1000
-#            distinct schedules), and the K=4 shared-manager bench on its
-#            smoke shape (bench-smoke.micro_multitenant).
+#            tests/dm/multitenant_test.cpp) under the TSan build (asan ran
+#            it and the K=4 shared-manager bench smoke under ASan), and the
+#            cross-tenant hazard scenarios under the CA_RACE schedule
+#            explorer (flagged-then-fixed across >=1000 distinct schedules).
 #   comm     data-parallel comm gate: the comm suite (interconnect cost
-#            models, CommEngine, dp::Trainer, determinism) under the ASan
-#            build and the TSan build, the allreduce lifecycle hazards
-#            (bucket reuse before reduce complete, free while on wire)
-#            under the CA_RACE schedule explorer (flagged-then-fixed
-#            across >=1000 distinct schedules), and the bucketed-allreduce
-#            bench on its smoke shape (bench-smoke.micro_allreduce).
+#            models, CommEngine, dp::Trainer, determinism) under the TSan
+#            build (asan ran it and the bucketed-allreduce bench smoke under
+#            ASan), and the allreduce lifecycle hazards (bucket reuse
+#            before reduce complete, free while on wire) under the CA_RACE
+#            schedule explorer (flagged-then-fixed across >=1000 distinct
+#            schedules).
 #   kparity  kernel-parity: the fast compute-kernel tier vs the scalar
-#            reference kernels (ctest -R kparity) under BOTH the ASan build
-#            and the CA_RACE build, so the blocked GEMM / im2col / parallel
-#            elementwise paths are proven numerically correct and race-free
-#            with CA_NATIVE=OFF (the portable codegen CI ships).
+#            reference kernels (ctest -R kparity) under the CA_RACE build
+#            (asan ran it under ASan), so the blocked GEMM / im2col /
+#            parallel elementwise paths are proven numerically correct and
+#            race-free with CA_NATIVE=OFF (the portable codegen CI ships).
 #   simd     runtime-dispatch gate: the kernel-parity and simd suites on
 #            the ASan build at CA_ISA=scalar AND at the highest level the
 #            host supports (so the AVX2/AVX-512 GEMM tiles and NT-store
@@ -53,13 +54,13 @@
 #            every dispatch tier), then the NT-writeback hazard scenario
 #            plus the simd suite under the CA_RACE shims.  Skip-aware: on
 #            a host without AVX2 only the scalar half runs.
-#   bench    bench-smoke: every BENCH-emitting bench and table3_models
-#            runs end to end on tiny shapes (ctest -L bench-smoke on the
-#            ASan build; the seven figure binaries stay outside ctest and
-#            are checked by byte-identical stdout), then the
-#            repository benchmark's self-tests (perfbench/test_perfbench.py:
-#            the twolm access identity, traced-vs-untraced reproduction and
-#            same-seed determinism on the smoke shapes).
+#   bench    the repository benchmark's self-tests
+#            (perfbench/test_perfbench.py: the twolm access identity,
+#            traced-vs-untraced reproduction and same-seed determinism on
+#            the smoke shapes).  Every BENCH-emitting bench and
+#            table3_models already ran end to end on tiny shapes as the
+#            asan stage's bench-smoke tests; the seven figure binaries stay
+#            outside ctest and are checked by byte-identical stdout.
 #   tidy     clang-tidy over src/ with the repo's .clang-tidy profile.
 #   lint     tools/ca_lint.py repository rules (byte-copy routing,
 #            wall-clock ban, DataManager audit boundaries, kernel scratch
@@ -138,8 +139,6 @@ cmake -B build-asan -S . \
   -DCA_WERROR=ON > /dev/null
 cmake --build build-asan -j "$JOBS"
 ( cd build-asan && ctest -j "$JOBS" --output-on-failure )
-note "asan: audit suite under sanitizers (ctest -R audit)"
-( cd build-asan && ctest -R audit --output-on-failure )
 
 # --- tsan: the threaded substrate ---------------------------------------------
 if selected tsan; then
@@ -208,7 +207,7 @@ if selected ptrprov; then
       fail=1
     fi
     # The route test re-runs the sanctioned workloads and dumps the
-    # observed accessor/escape sites; the checker then diffs manifest <->
+    # observed accessor sites; the checker then diffs manifest <->
     # source scan and manifest <-> runtime sites, both directions, and
     # checks the generated provenance table.
     PTRPROV_DUMP="$(pwd)/build-race/prov_sites.json"
@@ -226,9 +225,6 @@ fi
 
 # --- multitenant: shared-manager concurrency gate -----------------------------
 if selected multitenant; then
-  note "multitenant: suite under ASan (semantics + plain-thread concurrency)"
-  ( cd build-asan && ctest -R 'multitenant\.' --output-on-failure )
-
   note "multitenant: suite under TSan"
   # Self-contained under --only multitenant (CI runs it as its own job).
   cmake -B build-tsan -S . \
@@ -244,17 +240,10 @@ if selected multitenant; then
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
   cmake --build build-race -j "$JOBS" --target test_multitenant
   ( cd build-race && ctest -R 'multitenant\.' --output-on-failure )
-
-  note "multitenant: K=4 shared-manager bench on the smoke shape"
-  ( cd build-asan && ctest -R 'bench-smoke\.micro_multitenant' \
-      --output-on-failure )
 fi
 
 # --- comm: data-parallel allreduce gate ---------------------------------------
 if selected comm; then
-  note "comm: suite under ASan (cost models + CommEngine + dp::Trainer)"
-  ( cd build-asan && ctest -R '^comm\.' --output-on-failure )
-
   note "comm: suite under TSan"
   # Self-contained under --only comm (CI runs it as its own job).
   cmake -B build-tsan -S . \
@@ -270,18 +259,12 @@ if selected comm; then
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
   cmake --build build-race -j "$JOBS" --target test_comm
   ( cd build-race && ctest -R '^comm\.' --output-on-failure )
-
-  note "comm: bucketed-allreduce bench on the smoke shape"
-  ( cd build-asan && ctest -R 'bench-smoke\.micro_allreduce' \
-      --output-on-failure )
 fi
 
 # --- kparity: fast kernel tier vs the scalar reference ------------------------
 if selected kparity; then
-  note "kparity: kernel parity suite under ASan (ctest -R kparity)"
-  ( cd build-asan && ctest -R 'kparity\.' --output-on-failure )
-  # The race half configures build-race itself so this stage is
-  # self-contained under --only kparity (CI runs it as its own job).
+  # Configures build-race itself so this stage is self-contained under
+  # --only kparity (CI runs it as its own job).
   # CA_NATIVE stays OFF: parity must hold for the portable codegen.
   note "kparity: kernel parity suite under CA_RACE shims"
   cmake -B build-race -S . -DCA_RACE=ON -DCA_WERROR=OFF > /dev/null
@@ -312,8 +295,6 @@ fi
 
 # --- bench smoke ---------------------------------------------------------------
 if selected bench; then
-  note "bench: every BENCH-emitting bench and table3_models on tiny shapes"
-  ( cd build-asan && ctest -L bench-smoke --output-on-failure )
   note "bench: perfbench self-tests (builds into .bench_build/)"
   python3 perfbench/test_perfbench.py
 fi
